@@ -24,6 +24,7 @@ from .group import (
 from .representations import (
     char_eval,
     char_table,
+    repr_matrices,
     repr_matrix,
     truncation_set,
 )
@@ -33,8 +34,6 @@ from .fourier import (
     char_fn,
     classical_dirichlet,
     classical_dirichlet_deriv,
-    coeff_central,
-    coeff_matrix,
     const_fn,
     dirichlet_closed,
     dirichlet_direct,

@@ -237,6 +237,8 @@ def _cmd_diverge(args):
 
 
 def _cmd_partial_sum(args):
+    if len(args.n) != 1:
+        raise ValueError(f"partial-sum takes a single --n value, got {args.n}")
     f = parse_central_fn(args.fn)
     th = np.linspace(0.0, np.pi, args.grid)
     vals = partial_sum_central(f, args.n[0], args.mode, th)

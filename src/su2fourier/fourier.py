@@ -27,7 +27,7 @@ inputs); kernel convolution survives only as a test oracle.  Coefficients of
 a piecewise-linear central function are also available in closed form (the
 integrals of (linear) x cos(k theta) per segment), which anchors the
 quadrature path.  Computed coefficient vectors are cached per function and
-rule; populate caches single-threaded before any parallel read.
+rule, read-only; populate caches single-threaded before any parallel read.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from numpy.polynomial.legendre import leggauss
 
 from .group import GroupElement, QuadratureRule, conj_angle_arrays, mul_arrays, weyl_grid
 from .representations import (
+    CHAR_POLE_THRESHOLD,
     char_eval,
     char_table,
     euler_diag_freqs,
-    repr_matrix,
-    repr_matrix_batch,
+    repr_matrices,
     truncation_set,
-    wigner_d,
 )
 
 __all__ = [
@@ -56,9 +55,6 @@ __all__ = [
     "band_limited_fn",
     "from_breakpoints",
     "left_translate",
-    "coeff_central",
-    "central_coeffs",
-    "coeff_matrix",
     "matrix_coeffs",
     "dirichlet_direct",
     "dirichlet_closed",
@@ -69,9 +65,6 @@ __all__ = [
     "lebesgue_constant",
     "block_energies",
 ]
-
-_POLE = 1e-4
-
 
 # --------------------------------------------------------------------------
 # central functions
@@ -109,8 +102,9 @@ class CentralFn:
 
         With ``rule`` None: breakpoint functions use the closed form,
         band-limited ones their stored vector, anything else an auto-built
-        graded rule sized for n_max.  Results are cached per (path, n_max
-        bucket).
+        graded rule sized for n_max.  Results are cached per path: the closed
+        form, the n_max bucket of the auto rule, or the nodes and weights of
+        the supplied rule.  Cached vectors are read-only.
         """
         if self.band_coeffs is not None:
             c = np.zeros(n_max + 1, dtype=self.band_coeffs.dtype)
@@ -124,7 +118,7 @@ class CentralFn:
             bucket = 256 * int(np.ceil((n_max + 1) / 256))
             key = ("auto", bucket)
         else:
-            key = ("rule", rule.kind, rule.order, len(rule))
+            key = ("rule", rule.kind, rule.nodes.tobytes(), rule.weights.tobytes())
         cached = self._cache.get(key)
         if cached is not None and len(cached) >= n_max + 1:
             return cached[: n_max + 1]
@@ -135,6 +129,7 @@ class CentralFn:
             if use is None:
                 use = weyl_grid(order=key[1] // 2 + 8, cusps=self.cusps)
             c = _quadrature_coeffs(self, n_max, use)
+        c.flags.writeable = False
         self._cache[key] = c
         return c
 
@@ -261,18 +256,6 @@ def _quadrature_coeffs(f: CentralFn, n_max: int, rule: QuadratureRule) -> np.nda
     return c
 
 
-def coeff_central(f: CentralFn, n: int, rule: QuadratureRule):
-    """<f, chi_n> by quadrature against the supplied Weyl rule."""
-    fw = np.asarray(f.fn(rule.nodes)) * rule.weights
-    val = np.dot(char_eval(n, rule.nodes), fw)
-    return complex(val) if np.iscomplexobj(fw) else float(val)
-
-
-def central_coeffs(f: CentralFn, n_max: int, rule: QuadratureRule | None = None):
-    """Coefficient vector c_0..c_{n_max} (cached; see CentralFn.coeffs)."""
-    return f.coeffs(n_max, rule)
-
-
 def block_energies(coeffs, tset) -> np.ndarray:
     """Squared L^2 norms of the block projections for a central function."""
     c = np.asarray(coeffs)
@@ -292,7 +275,7 @@ def classical_dirichlet(n: int, t) -> np.ndarray | float:
     tt = np.atleast_1d(tt)
     s = np.sin(tt / 2)
     out = np.empty_like(tt)
-    safe = np.abs(s) >= _POLE
+    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
     out[safe] = np.sin((2 * n + 1) * tt[safe] / 2) / s[safe]
     if (~safe).any():
         tp = tt[~safe]
@@ -310,7 +293,7 @@ def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
     tt = np.atleast_1d(tt)
     s = np.sin(tt / 2)
     out = np.empty_like(tt)
-    safe = np.abs(s) >= _POLE
+    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
     a = n + 0.5
     ts = tt[safe]
     out[safe] = (
@@ -344,7 +327,7 @@ def dirichlet_closed(N: int, theta) -> np.ndarray | float:
     th = np.atleast_1d(th)
     s = np.sin(th)
     out = np.empty_like(th)
-    safe = np.abs(s) >= _POLE
+    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
     if safe.any():
         out[safe] = -classical_dirichlet_deriv(N + 1, th[safe]) / (2 * s[safe])
     if (~safe).any():
@@ -390,16 +373,10 @@ def partial_sum_central(
     return out[0] if np.ndim(theta) == 0 else out
 
 
-def coeff_matrix(f, n: int, rule: QuadratureRule) -> np.ndarray:
-    """F_n = int f(x) pi_n(x)^* d(mu)(x) over the supplied Haar rule.
+def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
+    """All F_k = int f(x) pi_k(x)^* d(mu)(x) for k = 0..n_max in one pass.
 
     f is a CentralFn or a batch callable on (a, b) arrays.
-    """
-    return matrix_coeffs(f, n, rule)[n]
-
-
-def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
-    """All F_k for k = 0..n_max in one pass over the rule.
 
     On Euler tensor rules the matrices factorize through diagonal phases and
     the little-d factor, so each F_k reduces to separable contractions: a
@@ -413,11 +390,7 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     a, b = rule.element_arrays()
     w = rule.weights
     vals = np.asarray(fg(a, b)) * w
-    out = []
-    for k in range(n_max + 1):
-        Pi = repr_matrix_batch(k, a, b)
-        out.append(np.einsum("x,xpq->qp", vals, np.conj(Pi)))
-    return out
+    return [np.einsum("x,xpq->qp", vals, np.conj(Pi)) for Pi in repr_matrices(n_max, a, b)]
 
 
 def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
@@ -448,8 +421,7 @@ def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
         Ea = np.exp(-0.5j * al[ia] * freqs) / na
         Y += Ea[None, :, None] * Z[:, None, :]  # [beta, mu(alpha), nu(gamma)]
     out = []
-    for k in range(n_max + 1):
-        d = wigner_d(k, be)
+    for k, d in enumerate(repr_matrices(n_max, cb, sb)):
         idx = euler_diag_freqs(k) + n_max
         Yk = Y[:, idx][:, :, idx]  # [beta, q, p]
         out.append(np.einsum("b,bqp,bqp->pq", wb, d, Yk))
@@ -461,6 +433,7 @@ def partial_sum_general(f, N: int, mode: str, x: GroupElement, rule: QuadratureR
     tset = truncation_set(mode, N)
     F = matrix_coeffs(f, tset.max_index, rule)
     total = 0.0 + 0.0j
-    for k in tset.members:
-        total += (k + 1) * np.trace(F[k] @ repr_matrix(k, x))
+    for k, Pi in enumerate(repr_matrices(tset.max_index, x.a, x.b)):
+        if k in tset.members:
+            total += (k + 1) * np.trace(F[k] @ Pi)
     return complex(total)

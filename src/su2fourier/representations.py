@@ -1,9 +1,22 @@
 """Irreducible unitary representations of SU(2).
 
 The representation pi_n (n >= 0) has dimension n+1 and acts on homogeneous
-polynomials of degree n in two variables; in the orthonormal monomial basis
-e_q = u^{n-q} v^q / sqrt((n-q)! q!) the matrix elements are explicit
-binomial sums in (a, b, conj(a), conj(b)).  The character is
+polynomials of degree n in two variables, in the orthonormal monomial basis
+e_q = u^{n-q} v^q / sqrt((n-q)! q!); pi_1(x) = [[a, b], [-conj(b), conj(a)]]
+is the matrix of x = (a, b) itself.
+
+One kernel, ``repr_matrices``, walks the degrees.  Multiplication of
+polynomials intertwines pi_1 (x) pi_n with pi_{n+1}, and its adjoint divided
+by sqrt(n+1) is an isometry, which gives the step
+
+    pi_{n+1}[p, q] = sum_{s, t in {u, v}} c_p^s c_q^t pi_1[s, t]
+                         pi_n[p - [s = v], q - [t = v]]
+
+with c_k^u = sqrt((n+1-k)/(n+1)) and c_k^v = sqrt(k/(n+1)) (the degree
+recursion of T. Risbo, J. Geodesy 1996; Kostelec and Rockmore, JFAA 2008).
+Each step compresses a unitary by isometries, so rounding does not grow with
+the degree.  The step works on complex (a, b) directly: no Euler angles, no
+phase branch cuts, and no degree cap.  The character is
 
     chi_n(omega(theta)) = sin((n+1) theta) / sin(theta),
 
@@ -16,9 +29,10 @@ On the Euler tensor grid of ``group.haar_grid`` the matrices factorize as
     pi_n(x(alpha, beta, gamma))[p, q]
         = e^{i alpha (n-2p)/2} * d_n(beta)[p, q] * e^{i gamma (n-2q)/2}
 
-with the real "little-d" factor d_n(beta) = pi_n((cos(beta/2), sin(beta/2))).
-``fourier`` relies on this factorization for fast transforms; it is asserted
-against the direct evaluation in the test suite.
+with the real "little-d" factor d_n(beta) = pi_n((cos(beta/2), sin(beta/2))),
+which the kernel computes in real arithmetic.  ``fourier`` relies on this
+factorization for fast transforms; it is asserted against the direct
+evaluation in the test suite.
 
 Truncation index sets: the polyhedral set of order N is {0, ..., N}; the
 spherical set collects |m - 1| <= N under the normalization that spaces the
@@ -30,17 +44,17 @@ singletons {j}; spherical blocks are {1}, {0, 2}, then singletons {j+1}.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 
 __all__ = [
-    "MAX_REPR_DEGREE",
     "CHAR_POLE_THRESHOLD",
     "degree",
     "char_eval",
     "char_table",
+    "repr_matrices",
     "repr_matrix",
     "repr_matrix_batch",
     "wigner_d",
@@ -48,7 +62,6 @@ __all__ = [
     "truncation_set",
 ]
 
-MAX_REPR_DEGREE = 64  # double precision cap for the binomial-sum evaluation
 CHAR_POLE_THRESHOLD = 1e-4
 
 
@@ -103,60 +116,52 @@ def char_table(n_max: int, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_degree(n: int) -> None:
-    if not 0 <= n <= MAX_REPR_DEGREE:
-        raise ValueError(f"representation degree n must be in [0, {MAX_REPR_DEGREE}], got {n}")
+def repr_matrices(n_max: int, a, b):
+    """Yield pi_0, ..., pi_{n_max} at arrays (a, b), each a.shape + (n+1, n+1).
 
-
-def _norm_factors(n: int) -> np.ndarray:
-    lf = [lgamma(k + 1) for k in range(n + 1)]
-    p = np.arange(n + 1)
-    half = np.array([0.5 * (lf[n - k] + lf[k]) for k in p])
-    return np.exp(half[:, None] - half[None, :])  # norm[p, q]
+    Each matrix is one step of the degree recurrence (module docstring) from
+    the one before, so a caller that needs every degree walks this once.
+    Real (a, b) stay in real arithmetic, which gives the little-d factors.
+    """
+    if n_max < 0:
+        raise ValueError(f"degree n must be >= 0, got {n_max}")
+    a, b = np.asarray(a), np.asarray(b)
+    M = np.ones(a.shape + (1, 1), dtype=np.result_type(a, b, 1.0))
+    a, b = a[..., None, None], b[..., None, None]
+    rows = ((a, b), (-np.conj(b), np.conj(a)))  # rows s = u, v of pi_1
+    for n in range(n_max + 1):
+        yield M
+        if n == n_max:
+            break
+        k = np.arange(n + 2)
+        c = (np.sqrt((n + 1 - k) / (n + 1)), np.sqrt(k / (n + 1)))  # c^u, c^v
+        nxt = np.zeros(M.shape[:-2] + (n + 2, n + 2), dtype=M.dtype)
+        for s, (x, y) in enumerate(rows):
+            # sum over t: column q of pi_n feeds q (t = u) and q + 1 (t = v)
+            part = np.empty(M.shape[:-1] + (n + 2,), dtype=M.dtype)
+            np.multiply(M, x * c[0][:-1], out=part[..., :-1])
+            part[..., -1] = 0
+            part[..., 1:] += M * (y * c[1][1:])
+            # row p of pi_n feeds p (s = u) and p + 1 (s = v)
+            part *= c[s][s : n + 1 + s, None]
+            nxt[..., s : n + 1 + s, :] += part
+        M = nxt
 
 
 def repr_matrix_batch(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """pi_n at arrays of elements; returns shape a.shape + (n+1, n+1).
-
-    Entry (p, q) is the coefficient of e_p in pi_n(x) e_q:
-
-        sqrt((n-p)! p! / ((n-q)! q!)) *
-        sum_i C(n-q, i) C(q, p-i) a^{n-q-i} (-conj b)^i b^{q-p+i} conj(a)^{p-i}
-    """
-    _check_degree(n)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    shape = a.shape
-    C = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        C[i, 0] = 1.0
-        for j in range(1, i + 1):
-            C[i, j] = C[i - 1, j - 1] + C[i - 1, j]
-    norm = _norm_factors(n)
-    ap = np.stack([a**k for k in range(n + 1)])
-    acp = np.conj(ap)
-    bp = np.stack([b**k for k in range(n + 1)])
-    bcp = np.conj(bp)
-    M = np.zeros(shape + (n + 1, n + 1), dtype=complex)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            acc = np.zeros(shape, dtype=complex)
-            for i in range(max(0, p - q), min(n - q, p) + 1):
-                coef = C[n - q, i] * C[q, p - i] * (-1.0) ** i
-                acc += coef * ap[n - q - i] * bcp[i] * bp[q - p + i] * acp[p - i]
-            M[..., p, q] = norm[p, q] * acc
-    return M
+    """pi_n at arrays of elements; returns shape a.shape + (n+1, n+1)."""
+    return deque(repr_matrices(n, np.asarray(a, complex), np.asarray(b, complex)), maxlen=1)[0]
 
 
 def repr_matrix(n: int, x) -> np.ndarray:
     """pi_n(x) as an (n+1) x (n+1) unitary matrix."""
-    return repr_matrix_batch(n, np.asarray(x.a), np.asarray(x.b))
+    return repr_matrix_batch(n, x.a, x.b)
 
 
 def wigner_d(n: int, beta: np.ndarray) -> np.ndarray:
     """Real middle factor d_n(beta) of the Euler factorization, (len, n+1, n+1)."""
     be = np.atleast_1d(np.asarray(beta, dtype=float))
-    return repr_matrix_batch(n, np.cos(be / 2) + 0j, np.sin(be / 2) + 0j).real
+    return deque(repr_matrices(n, np.cos(be / 2), np.sin(be / 2)), maxlen=1)[0]
 
 
 def euler_diag_freqs(n: int) -> np.ndarray:

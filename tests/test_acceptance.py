@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from su2fourier.group import haar_grid, random_elements, weyl_grid, GroupElement
-from su2fourier.representations import char_table, repr_matrix_batch
+from su2fourier.representations import char_table, repr_matrices
 from su2fourier.fourier import (
     dirichlet_closed,
     lebesgue_constant,
@@ -71,8 +71,7 @@ def test_criterion_2_orthogonality():
     hrule = haar_grid(16)
     a, b = hrule.element_arrays()
     cols = []
-    for n in range(7):
-        Pi = repr_matrix_batch(n, a, b)
+    for n, Pi in enumerate(repr_matrices(6, a, b)):
         cols.extend(np.sqrt(n + 1) * Pi[:, i, j] for i in range(n + 1) for j in range(n + 1))
     E = np.stack(cols, axis=1)
     schur_err = float(np.abs((E * hrule.weights[:, None]).conj().T @ E - np.eye(E.shape[1])).max())

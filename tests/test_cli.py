@@ -89,6 +89,14 @@ def test_partial_sum_runs(tmp_path):
     assert len(_payload_csv(text).splitlines()) == 12
 
 
+def test_partial_sum_rejects_several_n(capsys):
+    # one table holds one order; a list used to be cut to its first value
+    assert run(["partial-sum", "--n", "7,9"]) == 2
+    captured = capsys.readouterr()
+    assert "single --n value" in captured.err
+    assert captured.out == ""
+
+
 def test_modulus_and_dini(tmp_path):
     code, text = _run_to_file(
         tmp_path, "m.csv", ["modulus", "--fn", "sawtooth:5", "--t-min", "0.01"]

@@ -10,14 +10,12 @@ from su2fourier.group import (
     random_elements,
     weyl_grid,
 )
-from su2fourier.representations import char_eval, repr_matrix, repr_matrix_batch
+from su2fourier.representations import char_eval, repr_matrices, repr_matrix, repr_matrix_batch
 from su2fourier.fourier import (
     band_limited_fn,
     char_fn,
     classical_dirichlet,
     classical_dirichlet_deriv,
-    coeff_central,
-    coeff_matrix,
     const_fn,
     dirichlet_closed,
     dirichlet_direct,
@@ -27,6 +25,7 @@ from su2fourier.fourier import (
     partial_sum_central,
     partial_sum_general,
 )
+from su2fourier.convergence import sqrt_shift_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints
 
 
@@ -42,14 +41,14 @@ def test_coeff_central_character_delta():
     f = char_fn(3)
     for n in range(6):
         want = 1.0 if n == 3 else 0.0
-        assert coeff_central(f, n, rule) == pytest.approx(want, abs=1e-11)
+        assert f.coeffs(n, rule)[n] == pytest.approx(want, abs=1e-11)
 
 
 def test_coeff_central_constant():
     rule = weyl_grid(6)
     f = const_fn(1.0)
-    assert coeff_central(f, 0, rule) == pytest.approx(1.0, abs=1e-13)
-    assert coeff_central(f, 4, rule) == pytest.approx(0.0, abs=1e-13)
+    assert f.coeffs(0, rule)[0] == pytest.approx(1.0, abs=1e-13)
+    assert f.coeffs(4, rule)[4] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_coeff_central_cosine():
@@ -58,9 +57,29 @@ def test_coeff_central_cosine():
     from su2fourier.fourier import CentralFn
 
     f = CentralFn(fn=np.cos, name="cos")
-    assert coeff_central(f, 1, rule) == pytest.approx(0.5, abs=1e-13)
+    assert f.coeffs(1, rule)[1] == pytest.approx(0.5, abs=1e-13)
     for n in (0, 2, 3):
-        assert coeff_central(f, n, rule) == pytest.approx(0.0, abs=1e-13)
+        assert f.coeffs(n, rule)[n] == pytest.approx(0.0, abs=1e-13)
+
+
+def test_coeffs_cache_keyed_on_rule_data():
+    # same kind, order and size; only the graded cusp panels differ
+    r1, r2 = weyl_grid(8, cusps=(0.5,)), weyl_grid(8, cusps=(2.5,))
+    assert (r1.kind, r1.order, len(r1)) == (r2.kind, r2.order, len(r2))
+    h = sqrt_shift_fn()
+    first = h.coeffs(60, r1).copy()
+    assert np.array_equal(h.coeffs(60, r2), sqrt_shift_fn().coeffs(60, r2))
+    assert np.array_equal(h.coeffs(60, r1), first)
+
+
+@pytest.mark.parametrize("make", [sqrt_shift_fn, lambda: sawtooth(5)], ids=["auto", "exact"])
+def test_coeffs_cached_vector_is_read_only(make):
+    # auto-rule quadrature and closed-form paths both hand out cached vectors
+    h = make()
+    v = h.coeffs(10)
+    with pytest.raises(ValueError):
+        v[0] = 99
+    assert h.coeffs(10)[0] == make().coeffs(10)[0]
 
 
 @pytest.mark.parametrize("n", [5, 17])
@@ -113,11 +132,11 @@ def test_coeff_matrix_schur_entry():
     def f(a, b):
         return repr_matrix_batch(2, a, b)[..., 0, 1]
 
-    F2 = coeff_matrix(f, 2, rule)
+    F2 = matrix_coeffs(f, 2, rule)[2]
     want = np.zeros((3, 3), dtype=complex)
     want[1, 0] = 1 / 3
     assert np.abs(F2 - want).max() < 1e-8
-    F1 = coeff_matrix(f, 1, rule)
+    F1 = matrix_coeffs(f, 1, rule)[1]
     assert np.abs(F1).max() < 1e-8
 
 
@@ -147,8 +166,8 @@ def test_matrix_coeffs_euler_path_matches_generic():
     fast = matrix_coeffs(f, 3, rule)
     a, b = rule.element_arrays()
     vals = f.on_group(a, b) * rule.weights
-    for k in range(4):
-        slow = np.einsum("x,xpq->qp", vals, np.conj(repr_matrix_batch(k, a, b)))
+    for k, Pi in enumerate(repr_matrices(3, a, b)):
+        slow = np.einsum("x,xpq->qp", vals, np.conj(Pi))
         assert np.abs(fast[k] - slow).max() < 1e-13
 
 
@@ -327,8 +346,7 @@ def test_partial_sum_general_translation_equivariance():
 
     def f(a, b):
         out = np.zeros(np.shape(a), dtype=complex)
-        for k in range(4):
-            Pi = repr_matrix_batch(k, a, b)
+        for k, Pi in enumerate(repr_matrices(3, a, b)):
             out += (k + 1) * np.einsum("pq,...qp->...", C[k], Pi)
         return out
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from su2fourier.group import (
@@ -24,6 +25,19 @@ from su2fourier.representations import char_eval
 def random_element(rng):
     a, b = random_elements(rng, 1)
     return GroupElement(complex(a[0]), complex(b[0]))
+
+
+def _normalized(q):
+    r = np.sqrt(sum(c * c for c in q))
+    return GroupElement(complex(q[0], q[1]) / r, complex(q[2], q[3]) / r)
+
+
+# unit quaternions from the cube [-1, 1]^4, poles and axis points included
+elements = (
+    st.tuples(*[st.floats(-1, 1)] * 4)
+    .filter(lambda q: sum(c * c for c in q) > 1e-2)
+    .map(_normalized)
+)
 
 
 # ---------------------------------------------------------------- elements
@@ -61,6 +75,20 @@ def test_group_axioms_random():
         assert abs(w.a - 1) < 1e-12 and abs(w.b) < 1e-12
         w = x * IDENTITY
         assert w.a == x.a and w.b == x.b
+
+
+@given(x=elements, y=elements, z=elements)
+def test_mul_arrays_associative(x, y, z):
+    la, lb = mul_arrays(*mul_arrays(x.a, x.b, y.a, y.b), z.a, z.b)
+    ra, rb = mul_arrays(x.a, x.b, *mul_arrays(y.a, y.b, z.a, z.b))
+    assert abs(la - ra) < 1e-14 and abs(lb - rb) < 1e-14
+
+
+@given(x=elements)
+def test_mul_arrays_inverse_law(x):
+    # x^{-1} = (conj a, -b) on both sides gives the identity (1, 0)
+    for w in (mul_arrays(x.a, x.b, np.conj(x.a), -x.b), mul_arrays(np.conj(x.a), -x.b, x.a, x.b)):
+        assert abs(w[0] - 1) < 1e-14 and abs(w[1]) < 1e-14
 
 
 def test_inverse_is_conjugate_pair():

@@ -1,7 +1,10 @@
 """Characters, representation matrices, and truncation index sets."""
 
+from math import comb, factorial, sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.representations import (
@@ -9,6 +12,7 @@ from su2fourier.representations import (
     char_table,
     degree,
     euler_diag_freqs,
+    repr_matrices,
     repr_matrix,
     repr_matrix_batch,
     truncation_set,
@@ -89,9 +93,50 @@ def test_repr_homomorphism(n):
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
-def test_repr_degree_cap():
+def _unitarity_and_homomorphism_errors(n, x, y):
+    M = repr_matrix(n, x)
+    unitarity = np.abs(M @ M.conj().T - np.eye(n + 1)).max()
+    homomorphism = np.abs(repr_matrix(n, x * y) - M @ repr_matrix(n, y)).max()
+    return unitarity, homomorphism
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_repr_high_degree(n):
+    # the degree recurrence keeps both identities at rounding level, no cap
+    rng = np.random.default_rng(200 + n)
+    x, y = random_element(rng), random_element(rng)
+    assert max(_unitarity_and_homomorphism_errors(n, x, y)) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(0, 512), seed=st.integers(0, 2**32 - 1))
+def test_repr_identities_property(n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_element(rng), random_element(rng)
+    assert max(_unitarity_and_homomorphism_errors(n, x, y)) <= 1e-12
+
+
+def test_repr_matches_binomial_sum():
+    # reference: the entry (p, q) is the coefficient of e_p in pi_n(x) e_q,
+    #   sqrt((n-p)! p! / ((n-q)! q!)) *
+    #   sum_i C(n-q, i) C(q, p-i) a^{n-q-i} (-conj b)^i b^{q-p+i} conj(a)^{p-i}
+    rng = np.random.default_rng(7)
+    a, b = random_elements(rng, 4)
+    for n, Pi in enumerate(repr_matrices(8, a, b)):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                norm = sqrt(factorial(n - p) * factorial(p) / (factorial(n - q) * factorial(q)))
+                want = norm * sum(
+                    comb(n - q, i) * comb(q, p - i) * a ** (n - q - i) * (-np.conj(b)) ** i
+                    * b ** (q - p + i) * np.conj(a) ** (p - i)
+                    for i in range(max(0, p - q), min(n - q, p) + 1)
+                )
+                assert np.abs(Pi[:, p, q] - want).max() < 1e-13
+
+
+def test_repr_negative_degree():
     with pytest.raises(ValueError):
-        repr_matrix_batch(65, np.array([1.0 + 0j]), np.array([0j]))
+        repr_matrix_batch(-1, np.array([1.0 + 0j]), np.array([0j]))
 
 
 def test_schur_orthogonality():
@@ -100,8 +145,7 @@ def test_schur_orthogonality():
     a, b = rule.element_arrays()
     w = rule.weights
     cols, labels = [], []
-    for n in range(7):
-        Pi = repr_matrix_batch(n, a, b)
+    for n, Pi in enumerate(repr_matrices(6, a, b)):
         for i in range(n + 1):
             for j in range(n + 1):
                 cols.append(Pi[:, i, j] * np.sqrt(n + 1))
