@@ -19,6 +19,8 @@ For central f the translate difference has the exact coefficient form
 
 independent of the direction of X (class functions only see the conjugacy
 angle of the translation), which anchors the general 3D quadrature path.
+That path evaluates f on the Haar rule once per ``integral_modulus`` call and one
+translate f(h^{-1} .) per sampled direction.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -77,12 +79,28 @@ def delta_translate(f, h: GroupElement):
     return diff
 
 
+def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
+    """||delta_h f||_{L^2} over the Haar rule for each h in hs.
+
+    f itself is evaluated on the rule once; only the translates f(h^{-1} x)
+    are evaluated per h.
+    """
+    if rule is None:
+        raise ValueError("general functions need a haar rule")
+    fg = f.on_group if isinstance(f, CentralFn) else f
+    a, b = rule.element_arrays()
+    base = fg(a, b)
+    norms = []
+    for h in hs:
+        hi = h.inverse()
+        vals = base - fg(*mul_arrays(hi.a, hi.b, a, b))
+        norms.append(float(np.sqrt(np.real(rule.integrate(np.abs(vals) ** 2)))))
+    return norms
+
+
 def translate_norm_quadrature(f, h: GroupElement, rule: QuadratureRule) -> float:
     """||delta_h f||_{L^2} over the supplied Haar rule."""
-    d = delta_translate(f, h)
-    a, b = rule.element_arrays()
-    vals = d(a, b)
-    return float(np.sqrt(np.real(rule.integrate(np.abs(vals) ** 2))))
+    return _translate_norms(f, [h], rule)[0]
 
 
 def central_translate_norm(coeffs: np.ndarray, r) -> np.ndarray | float:
@@ -112,7 +130,7 @@ def integral_modulus(
     Radii default to the strata {t, t/2, t/4}.  Central f goes through the
     exact coefficient form, where the direction of X is provably irrelevant;
     general f needs ``rule`` and samples ``sample_count`` directions per
-    radius (deterministic for a fixed seed).
+    radius (deterministic for a fixed seed), evaluating f on the rule once.
     """
     if not 0 < t <= np.pi:
         raise ValueError("t must lie in (0, pi]")
@@ -120,17 +138,14 @@ def integral_modulus(
     if isinstance(f, CentralFn):
         c = f.coeffs(n_max)
         return float(np.max(central_translate_norm(c, rr)))
-    if rule is None:
-        raise ValueError("general functions need a haar rule")
     rng = np.random.default_rng(seed)
-    best = 0.0
+    hs = []
     for r in rr:
         cs, betas = random_directions(rng, sample_count)
         for c0, b0 in zip(cs, betas):
             ah, bh = exp_arrays(np.array([r * c0]), np.array([r * b0]))
-            h = GroupElement(complex(ah[0]), complex(bh[0]))
-            best = max(best, translate_norm_quadrature(f, h, rule))
-    return best
+            hs.append(GroupElement(complex(ah[0]), complex(bh[0])))
+    return max(_translate_norms(f, hs, rule), default=0.0)
 
 
 @dataclass(frozen=True)

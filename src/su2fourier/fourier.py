@@ -11,7 +11,11 @@ General square-integrable functions carry matrix coefficients
 
 with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
-For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.
+For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  All F_n up to
+n_max come from one pass over the Euler tensor rule in beta slabs, which
+evaluates f once per node; the integral modulus in ``convergence`` likewise
+evaluates f on its rule once per call.  A left translate of a central f
+forms only the class angle of z y, not the whole product.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -117,8 +121,11 @@ class CentralFn:
             # bucket n_max so sweeps over N reuse one rule
             bucket = 256 * int(np.ceil((n_max + 1) / 256))
             key = ("auto", bucket)
+        elif rule.kind != "weyl_1d":
+            # before the key: hashing a 3D rule's nodes would materialise them
+            raise ValueError("central coefficients need a weyl_1d rule")
         else:
-            key = ("rule", rule.kind, rule.nodes.tobytes(), rule.weights.tobytes())
+            key = ("rule", rule.nodes.tobytes(), rule.weights.tobytes())
         cached = self._cache.get(key)
         if cached is not None and len(cached) >= n_max + 1:
             return cached[: n_max + 1]
@@ -181,11 +188,20 @@ def from_breakpoints(theta, values, name: str = "pl") -> CentralFn:
 
 
 def left_translate(f, z: GroupElement):
-    """(L_z f)(y) = f(z y) as a batch callable on (a, b) arrays."""
-    fg = f.on_group if isinstance(f, CentralFn) else f
+    """(L_z f)(y) = f(z y) as a batch callable on (a, b) arrays.
 
-    def translated(a, b):
-        return fg(*mul_arrays(z.a, z.b, a, b))
+    A central f sees only the class angle of z y, which needs only the a-entry
+    of the product, so the b-entry is never formed.
+    """
+    if isinstance(f, CentralFn):
+
+        def translated(a, b):
+            return f.on_group(z.a * a - z.b * np.conj(b), None)
+
+    else:
+
+        def translated(a, b):
+            return f(*mul_arrays(z.a, z.b, a, b))
 
     return translated
 
@@ -244,8 +260,6 @@ def _pl_norm_sq(th, va):
 
 
 def _quadrature_coeffs(f: CentralFn, n_max: int, rule: QuadratureRule) -> np.ndarray:
-    if rule.kind != "weyl_1d":
-        raise ValueError("central coefficients need a weyl_1d rule")
     fw = np.asarray(f.fn(rule.nodes)) * rule.weights
     # chunk over nodes: the (n_max+1, nodes) character table can get large
     chunk = max(1, 8_000_000 // (n_max + 1))
@@ -376,50 +390,44 @@ def partial_sum_central(
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     """All F_k = int f(x) pi_k(x)^* d(mu)(x) for k = 0..n_max in one pass.
 
-    f is a CentralFn or a batch callable on (a, b) arrays.
-
-    On Euler tensor rules the matrices factorize through diagonal phases and
-    the little-d factor, so each F_k reduces to separable contractions: a
-    discrete transform over gamma, then alpha, then a weighted beta sum
-    against d_k.  This is the same weighted sum as the direct path, just
-    reassociated; the generic path below serves arbitrary rules and tests.
+    f is a CentralFn or a batch callable on (a, b) arrays, and ``rule`` a
+    haar_euler_3d rule; any other rule kind raises ValueError.  The matrices
+    factorize through diagonal Euler phases and the little-d factor, so the
+    sum is reassociated into one (alpha, gamma) transform per beta node
+    followed by a weighted beta sum against d_k.
     """
-    if rule.kind == "haar_euler_3d":
-        return _matrix_coeffs_euler(f, n_max, rule)
-    fg = f.on_group if isinstance(f, CentralFn) else f
-    a, b = rule.element_arrays()
-    w = rule.weights
-    vals = np.asarray(fg(a, b)) * w
-    return [np.einsum("x,xpq->qp", vals, np.conj(Pi)) for Pi in repr_matrices(n_max, a, b)]
+    if rule.kind != "haar_euler_3d":
+        raise ValueError("matrix coefficients need a haar_euler_3d rule")
+    return _matrix_coeffs_euler(f, n_max, rule)
 
 
 def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
     """Separable evaluation of the F_k sums on an Euler tensor rule.
 
     With pi_k[q, p] = e^{i alpha (k-2q)/2} d_k(beta)[q, p] e^{i gamma (k-2p)/2},
-    F_k[p, q] = sum over the grid of w f conj(pi_k[q, p]), so the gamma
-    transform carries the p-frequencies and the alpha transform the
-    q-frequencies.  The grid is traversed in alpha slabs to bound memory.
+    F_k[p, q] = sum over the grid of w f conj(pi_k[q, p]), so the alpha
+    transform carries the q-frequencies and the gamma transform the
+    p-frequencies.  The grid is streamed in beta slabs to bound memory: the
+    Euler phases e^{i (alpha +- gamma)/2} are built once, each slab scales
+    them by cos(beta/2) and sin(beta/2), and its two transforms are matrix
+    products, Y[beta] = E_alpha @ f(slab) @ E_gamma (Kostelec & Rockmore,
+    FFTs on the rotation group, JFAA 2008).
     """
     fg = f.on_group if isinstance(f, CentralFn) else f
     al = rule.axes["alpha"]
     be = rule.axes["beta"]
     wb = rule.axes["w_beta"]
     ga = rule.axes["gamma"]
-    na, nb, ng = len(al), len(be), len(ga)
     freqs = np.arange(-n_max, n_max + 1)
-    Eg = np.exp(-0.5j * np.outer(freqs, ga)) / ng
+    Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
+    Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
+    phase_sum = np.exp(1j * ((al[:, None] + ga[None, :]) / 2))
+    phase_dif = np.exp(1j * ((al[:, None] - ga[None, :]) / 2))
     cb, sb = np.cos(be / 2), np.sin(be / 2)
-    Y = np.zeros((nb, 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
-    for ia in range(na):
-        half_sum = (al[ia] + ga) / 2
-        half_dif = (al[ia] - ga) / 2
-        a = cb[:, None] * np.exp(1j * half_sum)[None, :]
-        b = sb[:, None] * np.exp(1j * half_dif)[None, :]
-        vals = np.asarray(fg(a, b))
-        Z = vals @ Eg.T  # (nb, freqs): gamma transform
-        Ea = np.exp(-0.5j * al[ia] * freqs) / na
-        Y += Ea[None, :, None] * Z[:, None, :]  # [beta, mu(alpha), nu(gamma)]
+    Y = np.empty((len(be), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
+    for ib in range(len(be)):
+        vals = np.asarray(fg(cb[ib] * phase_sum, sb[ib] * phase_dif))
+        Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
     out = []
     for k, d in enumerate(repr_matrices(n_max, cb, sb)):
         idx = euler_diag_freqs(k) + n_max

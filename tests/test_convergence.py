@@ -7,6 +7,7 @@ from su2fourier.group import (
     GroupElement,
     IDENTITY,
     conj_angle,
+    exp_arrays,
     exp_map,
     haar_grid,
     random_elements,
@@ -150,6 +151,46 @@ def test_modulus_invariant_under_translation():
 def test_modulus_rejects_bad_radius():
     with pytest.raises(ValueError):
         integral_modulus(sawtooth(4), 0.0)
+    fz = left_translate(sawtooth(4), IDENTITY)
+    with pytest.raises(ValueError):
+        modulus_profile(fz, 0.5, 4.0, per_decade=2, sample_count=1, rule=haar_grid(4))
+
+
+def _sampled_translations(rng, radius, count):
+    # the per-direction construction integral_modulus documents
+    hs = []
+    for c0, b0 in zip(*random_directions(rng, count)):
+        ah, bh = exp_arrays(np.array([radius * c0]), np.array([radius * b0]))
+        hs.append(GroupElement(complex(ah[0]), complex(bh[0])))
+    return hs
+
+
+def test_integral_modulus_general_is_max_of_translate_norms():
+    rng = np.random.default_rng(21)
+    fz = left_translate(holder_test_function(0.5), random_element(rng))
+    rule = haar_grid(12)
+    t, count, seed = 0.7, 4, 9
+    directions = np.random.default_rng(seed)
+    a, b = rule.element_arrays()
+    # the direct norm of delta_h f, with f evaluated afresh for every h
+    want = max(
+        float(np.sqrt(np.real(rule.integrate(np.abs(delta_translate(fz, h)(a, b)) ** 2))))
+        for r in t * np.array([1.0, 0.5, 0.25])
+        for h in _sampled_translations(directions, r, count)
+    )
+    assert integral_modulus(fz, t, sample_count=count, seed=seed, rule=rule) == want
+
+
+def test_modulus_profile_general_matches_integral_modulus():
+    # general branch: each radius samples like integral_modulus(radii=[t]),
+    # then the running supremum over smaller radii makes it monotone
+    rng = np.random.default_rng(22)
+    fz = left_translate(sawtooth(3), random_element(rng))
+    rule = haar_grid(16)
+    prof = modulus_profile(fz, 0.05, 0.8, per_decade=3, sample_count=3, seed=4, rule=rule)
+    ts = prof.t_values[::-1]
+    single = [integral_modulus(fz, t, 3, 4, rule, radii=[t]) for t in ts]
+    assert np.array_equal(prof.omega_values[::-1], np.maximum.accumulate(single))
 
 
 # ---------------------------------------------------------------- dini integral

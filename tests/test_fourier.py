@@ -7,6 +7,7 @@ from su2fourier.group import (
     GroupElement,
     conj_angle,
     haar_grid,
+    mul_arrays,
     random_elements,
     weyl_grid,
 )
@@ -160,15 +161,56 @@ def test_coeff_matrix_central_scalar_blocks():
         assert np.abs(F[n] - want).max() < 1e-8
 
 
+def _matrix_coeffs_oracle(fg, n_max, rule):
+    # the direct weighted sum over the flattened rule, one degree at a time
+    a, b = rule.element_arrays()
+    vals = fg(a, b) * rule.weights
+    return [np.einsum("x,xpq->qp", vals, np.conj(Pi)) for Pi in repr_matrices(n_max, a, b)]
+
+
 def test_matrix_coeffs_euler_path_matches_generic():
     rule = haar_grid(10)
     f = sawtooth(3)
     fast = matrix_coeffs(f, 3, rule)
-    a, b = rule.element_arrays()
-    vals = f.on_group(a, b) * rule.weights
-    for k, Pi in enumerate(repr_matrices(3, a, b)):
-        slow = np.einsum("x,xpq->qp", vals, np.conj(Pi))
+    for k, slow in enumerate(_matrix_coeffs_oracle(f.on_group, 3, rule)):
         assert np.abs(fast[k] - slow).max() < 1e-13
+
+
+def test_matrix_coeffs_beta_slabs_match_oracle_general_complex():
+    # a complex, non-central integrand exercises every frequency pair of the
+    # (alpha, gamma) transform, not just the diagonal a central f reaches
+    rule = haar_grid(28)
+    g = sawtooth(4)
+
+    def f(a, b):
+        return g.on_group(a, b) * (1 + 0.5j * a.imag) + b * np.conj(a) ** 2 - 0.25j * b.real
+
+    fast = matrix_coeffs(f, 12, rule)
+    for k, slow in enumerate(_matrix_coeffs_oracle(f, 12, rule)):
+        assert np.abs(fast[k] - slow).max() < 1e-13
+
+
+def test_matrix_coeffs_rejects_non_euler_rule():
+    with pytest.raises(ValueError, match="matrix coefficients need"):
+        matrix_coeffs(sawtooth(3), 2, weyl_grid(8))
+
+
+def test_coeffs_rejects_3d_rule_without_materialising_it():
+    rule = haar_grid(96)
+    with pytest.raises(ValueError, match="weyl_1d"):
+        sawtooth(5).coeffs(10, rule)
+    assert rule._nodes is None
+
+
+def test_left_translate_central_matches_group_product():
+    # the central shortcut forms only the a-entry of z y: same floats as the
+    # full product followed by on_group
+    rng = np.random.default_rng(11)
+    z = random_element(rng)
+    a, b = random_elements(rng, 500)
+    for f in (sawtooth(6), sqrt_shift_fn(), band_limited_fn(np.array([0.2, -1.0, 0.5j]))):
+        want = f.on_group(*mul_arrays(z.a, z.b, a, b))
+        assert np.array_equal(left_translate(f, z)(a, b), want)
 
 
 def test_block_energies_over_truncation_blocks():

@@ -197,15 +197,18 @@ def test_truncation_spherical_blocks():
 
 def test_truncation_nesting():
     for mode in ("polyhedral", "spherical"):
-        for N in range(0, 12):
-            small = set(truncation_set(mode, N).members)
+        for N in range(0, 201):
+            t = truncation_set(mode, N)
+            assert list(t.members) == sorted(set(t.members))
+            flat = [j for blk in t.blocks for j in blk]
+            assert sorted(flat) == list(t.members)  # the blocks partition the members
             big = set(truncation_set(mode, N + 1).members)
-            assert small <= big
+            assert set(t.members) <= big
 
 
 def test_truncation_shift_relation():
     # spherical members at N equal polyhedral members at N+1, for N >= 1
-    for N in range(1, 40):
+    for N in range(1, 201):
         assert (
             truncation_set("spherical", N).members
             == truncation_set("polyhedral", N + 1).members
