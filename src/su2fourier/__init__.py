@@ -14,6 +14,7 @@ from .group import (
     IDENTITY,
     LieVector,
     QuadratureRule,
+    WeylRule,
     conj_angle,
     exp_map,
     haar_grid,
@@ -68,5 +69,3 @@ from .convergence import (
     sqrt_shift_fn,
     uniform_error_central,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

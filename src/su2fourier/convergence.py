@@ -40,6 +40,7 @@ import numpy as np
 from .group import (
     GroupElement,
     QuadratureRule,
+    WeylRule,
     exp_arrays,
     mul_arrays,
     random_directions,
@@ -85,7 +86,7 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     f itself is evaluated on the rule once; only the translates f(h^{-1} x)
     are evaluated per h.
     """
-    if rule is None:
+    if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
     fg = f.on_group if isinstance(f, CentralFn) else f
     a, b = rule.element_arrays()
@@ -226,7 +227,7 @@ def best_approx(
     f: CentralFn,
     M: int,
     coeffs: np.ndarray | None = None,
-    rule: QuadratureRule | None = None,
+    rule: WeylRule | None = None,
 ) -> float:
     """E_M(f) = sqrt(||f||^2 - sum_{n<=M} |c_n|^2), clipped at 0 for rounding."""
     c = coeffs if coeffs is not None else f.coeffs(M, rule)
@@ -249,7 +250,7 @@ def jackson_ratio(
     f: CentralFn,
     k: int,
     n_max: int = DEFAULT_COEFF_LIMIT,
-    rule: QuadratureRule | None = None,
+    rule: WeylRule | None = None,
     sample_count: int = 64,
     seed: int = 0,
 ) -> JacksonPoint:
@@ -289,7 +290,7 @@ def uniform_error_central(
     N: int,
     delta: float,
     grid_size: int = 2000,
-    rule: QuadratureRule | None = None,
+    rule: WeylRule | None = None,
 ) -> float:
     """max over [delta, pi - delta] of |S_N f(omega(theta)) - f(omega(theta))|."""
     if not 0 <= delta < np.pi / 2:

@@ -56,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .group import (
     GroupElement,
     QuadratureRule,
     exp_arrays,
+    gauss_panels,
     metric_d_arrays,
     mul_arrays,
     random_directions,
@@ -167,14 +167,6 @@ def holder_quotient_estimate(
 # the two-integral split of S_n f_n(e) and the inequality chain
 # --------------------------------------------------------------------------
 
-def _cell_rule(edges: np.ndarray, nodes_per_cell: int):
-    xg, wg = leggauss(nodes_per_cell)
-    t0, t1 = edges[:-1], edges[1:]
-    tt = 0.5 * (xg[None, :] + 1) * (t1 - t0)[:, None] + t0[:, None]
-    ww = 0.5 * (t1 - t0)[:, None] * wg[None, :]
-    return tt, ww
-
-
 @dataclass(frozen=True)
 class FunctionalSplit:
     """S_n f_n(e) as (bounded term) - (oscillatory term)."""
@@ -198,7 +190,7 @@ def functional_split(n: int, nodes_per_cell: int = 8) -> FunctionalSplit:
     if n < 2:
         raise ValueError("sawtooth witnesses need n >= 2")
     th, va = sawtooth_breakpoints(n)
-    tt, ww = _cell_rule(th, nodes_per_cell)
+    tt, ww = gauss_panels(th, nodes_per_cell)
     g = np.interp(tt, th, va)
     D = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
     bounded = float(np.sum(ww * g * np.cos(tt / 2) ** 2 * D) / np.pi)
@@ -254,7 +246,7 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
         raise ValueError("sawtooth witnesses need n >= 2")
     M = 2 * n + 3
     th, va = sawtooth_breakpoints(n)
-    tt, ww = _cell_rule(th, nodes_per_cell)
+    tt, ww = gauss_panels(th, nodes_per_cell)
     g = np.interp(tt, th, va)
     integrand = g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)
     cell_vals = np.sum(ww * integrand, axis=1)

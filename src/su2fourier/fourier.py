@@ -40,14 +40,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .group import GroupElement, QuadratureRule, conj_angle_arrays, mul_arrays, weyl_grid
+from .group import (
+    GroupElement,
+    QuadratureRule,
+    WeylRule,
+    conj_angle_arrays,
+    gauss_panels,
+    mul_arrays,
+    weyl_grid,
+)
 from .representations import (
-    CHAR_POLE_THRESHOLD,
     char_eval,
     char_table,
     euler_diag_freqs,
+    pole_safe,
     repr_matrices,
     truncation_set,
 )
@@ -101,7 +108,7 @@ class CentralFn:
         """Evaluate at group elements given as (a, b) arrays."""
         return self.fn(conj_angle_arrays(a, b))
 
-    def coeffs(self, n_max: int, rule: QuadratureRule | None = None) -> np.ndarray:
+    def coeffs(self, n_max: int, rule: WeylRule | None = None) -> np.ndarray:
         """Coefficients c_0..c_{n_max}; exact paths preferred, else quadrature.
 
         With ``rule`` None: breakpoint functions use the closed form,
@@ -121,8 +128,8 @@ class CentralFn:
             # bucket n_max so sweeps over N reuse one rule
             bucket = 256 * int(np.ceil((n_max + 1) / 256))
             key = ("auto", bucket)
-        elif rule.kind != "weyl_1d":
-            # before the key: hashing a 3D rule's nodes would materialise them
+        elif not isinstance(rule, WeylRule):
+            # before the key: hashing a 3D rule's weights would materialise them
             raise ValueError("central coefficients need a weyl_1d rule")
         else:
             key = ("rule", rule.nodes.tobytes(), rule.weights.tobytes())
@@ -140,7 +147,7 @@ class CentralFn:
         self._cache[key] = c
         return c
 
-    def l2_norm_sq(self, rule: QuadratureRule | None = None) -> float:
+    def l2_norm_sq(self, rule: WeylRule | None = None) -> float:
         """Exact closed forms where available, quadrature otherwise."""
         if self.norm_sq is not None:
             return self.norm_sq
@@ -259,7 +266,7 @@ def _pl_norm_sq(th, va):
     return float(np.sum(plain - osc) / np.pi)
 
 
-def _quadrature_coeffs(f: CentralFn, n_max: int, rule: QuadratureRule) -> np.ndarray:
+def _quadrature_coeffs(f: CentralFn, n_max: int, rule: WeylRule) -> np.ndarray:
     fw = np.asarray(f.fn(rule.nodes)) * rule.weights
     # chunk over nodes: the (n_max+1, nodes) character table can get large
     chunk = max(1, 8_000_000 // (n_max + 1))
@@ -282,44 +289,43 @@ def block_energies(coeffs, tset) -> np.ndarray:
 # Dirichlet kernels
 # --------------------------------------------------------------------------
 
+def _half_sine(t):
+    return np.sin(t / 2)
+
+
 def classical_dirichlet(n: int, t) -> np.ndarray | float:
     """D_n(t) = sin((2n+1)t/2)/sin(t/2), with the cosine-sum fallback at poles."""
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
-    s = np.sin(tt / 2)
-    out = np.empty_like(tt)
-    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
-    out[safe] = np.sin((2 * n + 1) * tt[safe] / 2) / s[safe]
-    if (~safe).any():
-        tp = tt[~safe]
+
+    def cosine_sum(tt, m):
+        tp = tt[m]
         acc = np.ones_like(tp)
         for j in range(1, n + 1):
             acc += 2 * np.cos(j * tp)
-        out[~safe] = acc
-    return float(out[0]) if scalar else out
+        return acc
+
+    return pole_safe(
+        t, _half_sine, lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m], cosine_sum
+    )
 
 
 def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
     """D'_n(t), analytic closed form with the -2 sum j sin(jt) fallback."""
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
-    s = np.sin(tt / 2)
-    out = np.empty_like(tt)
-    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
     a = n + 0.5
-    ts = tt[safe]
-    out[safe] = (
-        a * np.cos(a * ts) * np.sin(ts / 2) - 0.5 * np.cos(ts / 2) * np.sin(a * ts)
-    ) / np.sin(ts / 2) ** 2
-    if (~safe).any():
-        tp = tt[~safe]
+
+    def quotient(tt, s, m):
+        ts = tt[m]
+        return (
+            a * np.cos(a * ts) * np.sin(ts / 2) - 0.5 * np.cos(ts / 2) * np.sin(a * ts)
+        ) / np.sin(ts / 2) ** 2
+
+    def sine_sum(tt, m):
+        tp = tt[m]
         acc = np.zeros_like(tp)
         for j in range(1, n + 1):
             acc -= 2 * j * np.sin(j * tp)
-        out[~safe] = acc
-    return float(out[0]) if scalar else out
+        return acc
+
+    return pole_safe(t, _half_sine, quotient, sine_sum)
 
 
 def dirichlet_direct(N: int, theta) -> np.ndarray | float:
@@ -336,17 +342,12 @@ def dirichlet_closed(N: int, theta) -> np.ndarray | float:
     Inside |sin theta| < 1e-4 the quotient is replaced by the direct sum,
     which the character recurrence evaluates stably.
     """
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    s = np.sin(th)
-    out = np.empty_like(th)
-    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
-    if safe.any():
-        out[safe] = -classical_dirichlet_deriv(N + 1, th[safe]) / (2 * s[safe])
-    if (~safe).any():
-        out[~safe] = dirichlet_direct(N, th[~safe])
-    return float(out[0]) if scalar else out
+    return pole_safe(
+        theta,
+        np.sin,
+        lambda th, s, m: -classical_dirichlet_deriv(N + 1, th[m]) / (2 * s[m]),
+        lambda th, m: dirichlet_direct(N, th[m]),
+    )
 
 
 def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
@@ -358,10 +359,7 @@ def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
     """
     M = 2 * n + 3
     edges = np.concatenate(([0.0], 2 * np.pi * np.arange(1, n + 2) / M, [np.pi]))
-    xg, wg = leggauss(nodes_per_interval)
-    t0, t1 = edges[:-1], edges[1:]
-    tt = 0.5 * (xg[None, :] + 1) * (t1 - t0)[:, None] + t0[:, None]
-    ww = 0.5 * (t1 - t0)[:, None] * wg[None, :]
+    tt, ww = gauss_panels(edges, nodes_per_interval)
     vals = np.abs(classical_dirichlet(n + 1, tt.ravel())).reshape(tt.shape)
     return float(np.sum(ww * vals) / np.pi)
 
@@ -371,7 +369,7 @@ def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
 # --------------------------------------------------------------------------
 
 def partial_sum_central(
-    f: CentralFn, N: int, mode: str, theta, rule: QuadratureRule | None = None
+    f: CentralFn, N: int, mode: str, theta, rule: WeylRule | None = None
 ):
     """sum_{n in truncation_set(mode, N)} c_n chi_n(theta).
 
@@ -390,13 +388,13 @@ def partial_sum_central(
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     """All F_k = int f(x) pi_k(x)^* d(mu)(x) for k = 0..n_max in one pass.
 
-    f is a CentralFn or a batch callable on (a, b) arrays, and ``rule`` a
-    haar_euler_3d rule; any other rule kind raises ValueError.  The matrices
-    factorize through diagonal Euler phases and the little-d factor, so the
-    sum is reassociated into one (alpha, gamma) transform per beta node
-    followed by a weighted beta sum against d_k.
+    f is a CentralFn or a batch callable on (a, b) arrays, and ``rule`` the
+    Euler tensor rule of ``haar_grid``; any other rule raises ValueError.
+    The matrices factorize through diagonal Euler phases and the little-d
+    factor, so the sum is reassociated into one (alpha, gamma) transform per
+    beta node followed by a weighted beta sum against d_k.
     """
-    if rule.kind != "haar_euler_3d":
+    if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")
     return _matrix_coeffs_euler(f, n_max, rule)
 
@@ -414,10 +412,7 @@ def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
     FFTs on the rotation group, JFAA 2008).
     """
     fg = f.on_group if isinstance(f, CentralFn) else f
-    al = rule.axes["alpha"]
-    be = rule.axes["beta"]
-    wb = rule.axes["w_beta"]
-    ga = rule.axes["gamma"]
+    al, be, wb, ga = rule.alpha, rule.beta, rule.w_beta, rule.gamma
     freqs = np.arange(-n_max, n_max + 1)
     Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
     Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)

@@ -18,19 +18,22 @@ X = [[i c, beta], [-conj(beta), -i c]] carry the norm
 d(e, exp X) = 2 sin(||X||/2), so metric radii and Lie-algebra radii agree to
 first order.
 
-Two integration rules are provided, both normalized to total mass 1:
+Two integration rule types are provided, both normalized to total mass 1:
 
-* ``weyl_grid(order)``: composite Gauss-Legendre on [0, pi] with the class
-  measure (2/pi) sin^2(theta) d(theta) absorbed into the weights.  The rule
-  uses 32-node panels, ceil((order+4)/8) of them, which integrates
-  cos(k theta) sin^2(theta) to machine precision for every k <= 2*order - 4.
-  A single panel of `order` nodes could not do this (two points per
-  oscillation is the hard floor), hence the internal oversampling.
+* ``WeylRule``, from ``weyl_grid(order)``: composite Gauss-Legendre on
+  [0, pi] (panels from ``gauss_panels``, the package's one panel-rule
+  builder) with the class measure (2/pi) sin^2(theta) d(theta) absorbed
+  into the weights.  The rule uses 32-node panels, ceil((order+4)/8) of
+  them, which integrates cos(k theta) sin^2(theta) to machine precision for
+  every k <= 2*order - 4.  A single panel of `order` nodes could not do this
+  (two points per oscillation is the hard floor), hence the internal
+  oversampling.
   Optional ``cusps`` add geometrically graded panels around points where the
   integrand is not smooth (algebraic cusps of Hoelder-type integrands).
 
-* ``haar_grid(order)``: Euler-angle product rule for the full Haar measure,
-  x(alpha, beta, gamma) with a = cos(beta/2) e^{i(alpha+gamma)/2},
+* ``QuadratureRule``, from ``haar_grid(order)``: Euler-angle product rule
+  for the full Haar measure, x(alpha, beta, gamma) with
+  a = cos(beta/2) e^{i(alpha+gamma)/2},
   b = sin(beta/2) e^{i(alpha-gamma)/2}, alpha in [0, 2pi), beta in [0, pi],
   gamma in [0, 4pi), d(mu) = sin(beta) d(alpha) d(beta) d(gamma) / (16 pi^2).
   Trapezoid (equal weight) in the periodic angles, Gauss-Legendre with the
@@ -44,6 +47,7 @@ summation order, so results do not depend on execution interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -51,6 +55,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "GroupElement",
     "LieVector",
+    "WeylRule",
     "QuadratureRule",
     "IDENTITY",
     "make_element",
@@ -61,6 +66,7 @@ __all__ = [
     "exp_map",
     "exp_arrays",
     "mul_arrays",
+    "gauss_panels",
     "weyl_grid",
     "haar_grid",
     "random_elements",
@@ -193,67 +199,77 @@ def random_directions(rng: np.random.Generator, size: int):
 _PANEL_NODES = 32
 
 
-@dataclass
-class QuadratureRule:
-    """Nodes and weights of a probability rule (weights sum to 1).
+@dataclass(frozen=True, eq=False)
+class WeylRule:
+    """Class-measure rule on [0, pi] from ``weyl_grid``.
 
-    kind "weyl_1d": nodes are angles theta in [0, pi], weights absorb
-    (2/pi) sin^2(theta).  kind "haar_euler_3d": nodes are Euler triples
-    (alpha, beta, gamma); the tensor factors are kept in ``axes`` for
-    separable fast paths, and the flattened nodes/weights views are built
-    lazily on first access (large rules never need them).
+    Nodes are angles theta; the weights absorb (2/pi) sin^2(theta) and sum
+    to 1.
     """
 
-    kind: str
     order: int
-    axes: dict = field(default_factory=dict, repr=False)
-    _nodes: np.ndarray | None = field(default=None, repr=False)
-    _weights: np.ndarray | None = field(default=None, repr=False)
-    _elements: tuple | None = field(default=None, repr=False)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        if self._nodes is None:
-            self._materialize()
-        return self._nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._materialize()
-        return self._weights
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        if self.kind == "weyl_1d":
-            return len(self.weights)
-        al, ga = self.axes["alpha"], self.axes["gamma"]
-        return len(al) * len(self.axes["beta"]) * len(ga)
+        return len(self.weights)
 
-    def _materialize(self) -> None:
-        if self.kind == "weyl_1d":
-            return  # always built eagerly
-        al, be, ga = self.axes["alpha"], self.axes["beta"], self.axes["gamma"]
-        wb = self.axes["w_beta"]
-        A, B, G = np.meshgrid(al, be, ga, indexing="ij")
-        self._nodes = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
-        W = np.broadcast_to(wb[None, :, None], A.shape) / (len(al) * len(ga))
-        self._weights = W.ravel().copy()
+    def integrate(self, values: np.ndarray) -> complex | float:
+        """Weighted sum over the rule's nodes (fixed summation order)."""
+        return np.dot(self.weights, values)
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """Euler tensor rule for normalized Haar measure (weights sum to 1).
+
+    Only the axes are stored, for separable fast paths; the flattened
+    weights and (a, b) element arrays, in (alpha, beta, gamma) C order, are
+    built on first access (large rules never need them).
+    """
+
+    order: int
+    alpha: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
+    w_beta: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.alpha) * len(self.beta) * len(self.gamma)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        na, nb, ng = len(self.alpha), len(self.beta), len(self.gamma)
+        return np.broadcast_to(self.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
+
+    @cached_property
+    def _elements(self) -> tuple:
+        al, ga = self.alpha[:, None, None], self.gamma[None, None, :]
+        be = self.beta[None, :, None]
+        a = np.cos(be / 2) * np.exp(1j * (al + ga) / 2)
+        b = np.sin(be / 2) * np.exp(1j * (al - ga) / 2)
+        return a.ravel(), b.ravel()
 
     def element_arrays(self):
-        """Flattened (a, b) arrays of the haar_euler_3d rule's elements."""
-        if self.kind != "haar_euler_3d":
-            raise ValueError("element_arrays is only defined for haar_euler_3d rules")
-        if self._elements is None:
-            n = self.nodes
-            al, be, ga = n[:, 0], n[:, 1], n[:, 2]
-            a = np.cos(be / 2) * np.exp(1j * (al + ga) / 2)
-            b = np.sin(be / 2) * np.exp(1j * (al - ga) / 2)
-            self._elements = (a, b)
+        """Flattened (a, b) arrays of the rule's elements."""
         return self._elements
 
     def integrate(self, values: np.ndarray) -> complex | float:
         """Weighted sum over the rule's nodes (fixed summation order)."""
         return np.dot(self.weights, values)
+
+
+def gauss_panels(edges: np.ndarray, nodes: int):
+    """Gauss-Legendre rule with ``nodes`` nodes on each cell [edges[i], edges[i+1]].
+
+    Returns (t, w), both of shape (cells, nodes): sum(w * f(t)) approximates
+    the integral of f over [edges[0], edges[-1]].
+    """
+    xg, wg = leggauss(nodes)
+    t0, t1 = edges[:-1], edges[1:]
+    t = 0.5 * (xg[None, :] + 1) * (t1 - t0)[:, None] + t0[:, None]
+    w = 0.5 * (t1 - t0)[:, None] * wg[None, :]
+    return t, w
 
 
 def _panel_edges(order: int, cusps=()) -> np.ndarray:
@@ -272,7 +288,7 @@ def _panel_edges(order: int, cusps=()) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def weyl_grid(order: int, cusps=()) -> QuadratureRule:
+def weyl_grid(order: int, cusps=()) -> WeylRule:
     """Class-measure rule on [0, pi]: sum w_i f(theta_i) ~ (2/pi) int f sin^2.
 
     ``order`` is a resolution parameter: integrands cos(k theta) sin^2(theta)
@@ -283,14 +299,9 @@ def weyl_grid(order: int, cusps=()) -> QuadratureRule:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    edges = _panel_edges(order, cusps)
-    xg, wg = leggauss(_PANEL_NODES)
-    t = np.concatenate(
-        [0.5 * (xg + 1) * (b - a) + a for a, b in zip(edges[:-1], edges[1:])]
-    )
-    w = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
-    w = w * (2.0 / np.pi) * np.sin(t) ** 2
-    return QuadratureRule(kind="weyl_1d", order=order, _nodes=t, _weights=w)
+    t, w = gauss_panels(_panel_edges(order, cusps), _PANEL_NODES)
+    t, w = t.ravel(), w.ravel()
+    return WeylRule(order=order, nodes=t, weights=w * (2.0 / np.pi) * np.sin(t) ** 2)
 
 
 def haar_grid(order: int) -> QuadratureRule:
@@ -314,8 +325,4 @@ def haar_grid(order: int) -> QuadratureRule:
     xg, wg = leggauss(nb)
     be = 0.5 * (xg + 1) * np.pi
     wb = 0.5 * np.pi * wg * np.sin(be) / 2.0  # int_0^pi sin = 2
-    return QuadratureRule(
-        kind="haar_euler_3d",
-        order=order,
-        axes={"alpha": al, "beta": be, "w_beta": wb, "gamma": ga},
-    )
+    return QuadratureRule(order=order, alpha=al, beta=be, w_beta=wb, gamma=ga)

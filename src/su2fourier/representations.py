@@ -22,7 +22,9 @@ phase branch cuts, and no degree cap.  The character is
 
 evaluated through the Chebyshev-U recurrence wherever sin(theta) is small
 (|sin theta| < 1e-4), which removes the 0/0 cancellation at theta in {0, pi}
-where the limits are n+1 and (-1)^n (n+1).
+where the limits are n+1 and (-1)^n (n+1).  The pole mask is ``pole_safe``,
+which the Dirichlet kernels of ``fourier`` share with their own quotients
+and fallbacks.
 
 On the Euler tensor grid of ``group.haar_grid`` the matrices factorize as
 
@@ -51,7 +53,7 @@ import numpy as np
 
 __all__ = [
     "CHAR_POLE_THRESHOLD",
-    "degree",
+    "pole_safe",
     "char_eval",
     "char_table",
     "repr_matrices",
@@ -65,37 +67,36 @@ __all__ = [
 CHAR_POLE_THRESHOLD = 1e-4
 
 
-def degree(n: int) -> int:
-    """Dimension of pi_n."""
-    return n + 1
+def pole_safe(theta, sine, quotient, fallback) -> np.ndarray | float:
+    """Evaluate a quotient with a pole fallback at angle(s) theta.
+
+    With th the angles as a 1-D float array, s = sine(th) and the mask
+    m = |s| >= CHAR_POLE_THRESHOLD, entries in m take quotient(th, s, m) and
+    the rest fallback(th, ~m); each branch indexes th and s with the mask
+    inside its own expression.  A scalar theta gives a float.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    s = sine(th)
+    out = np.empty_like(th)
+    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
+    out[safe] = quotient(th, s, safe)
+    if (~safe).any():
+        out[~safe] = fallback(th, ~safe)
+    return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 def char_eval(n: int, theta) -> np.ndarray | float:
     """chi_n at conjugacy angle(s) theta, pole-safe.
 
     Uses sin((n+1)theta)/sin(theta) where |sin theta| >= 1e-4 and the
-    Chebyshev recurrence U_n(cos theta) elsewhere.
+    Chebyshev recurrence U_n(cos theta) of ``char_table`` elsewhere.
     """
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    s = np.sin(th)
-    out = np.empty_like(th)
-    safe = np.abs(s) >= CHAR_POLE_THRESHOLD
-    out[safe] = np.sin((n + 1) * th[safe]) / s[safe]
-    if (~safe).any():
-        x = np.cos(th[~safe])
-        u0 = np.ones_like(x)
-        u1 = 2 * x
-        if n == 0:
-            out[~safe] = u0
-        elif n == 1:
-            out[~safe] = u1
-        else:
-            for _ in range(n - 1):
-                u0, u1 = u1, 2 * x * u1 - u0
-            out[~safe] = u1
-    return float(out[0]) if scalar else out
+    return pole_safe(
+        theta,
+        np.sin,
+        lambda th, s, m: np.sin((n + 1) * th[m]) / s[m],
+        lambda th, m: char_table(n, th[m])[n],
+    )
 
 
 def char_table(n_max: int, theta: np.ndarray) -> np.ndarray:

@@ -1,0 +1,46 @@
+"""The benchmark's tracer (bench/spans.py) hooks names of this package.
+
+Renaming a traced function or method fails here, not only in a traced
+benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import su2fourier
+import su2fourier.cli  # noqa: F401  (the tracer hooks cli functions too)
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_every_hook_and_restores_the_originals():
+    spans = _load_spans()
+    hooks = [
+        (getattr(su2fourier, layer), name)
+        for layer, names in spans.FUNCTIONS.items()
+        for name in names
+    ]
+    hooks += [
+        (getattr(getattr(su2fourier, layer), cls), name) for layer, cls, name in spans.METHODS
+    ]
+    originals = [vars(owner)[name] for owner, name in hooks]
+    tracer = spans.Tracer(su2fourier)
+    owners = tracer.modules + [owner for owner, _ in hooks]
+    before = [dict(vars(owner)) for owner in owners]
+    try:
+        tracer.install()
+        for (owner, name), original in zip(hooks, originals):
+            assert vars(owner)[name].__wrapped__ is original
+    finally:
+        tracer.remove()
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys()
+        assert all(now[key] is value for key, value in saved.items())

@@ -12,6 +12,7 @@ from su2fourier.group import (
     haar_grid,
     random_elements,
     random_directions,
+    weyl_grid,
     LieVector,
 )
 from su2fourier.fourier import band_limited_fn, char_fn, const_fn, left_translate
@@ -154,6 +155,13 @@ def test_modulus_rejects_bad_radius():
     fz = left_translate(sawtooth(4), IDENTITY)
     with pytest.raises(ValueError):
         modulus_profile(fz, 0.5, 4.0, per_decade=2, sample_count=1, rule=haar_grid(4))
+
+
+@pytest.mark.parametrize("rule", [None, weyl_grid(8)], ids=["none", "weyl"])
+def test_integral_modulus_general_needs_haar_rule(rule):
+    fz = left_translate(sawtooth(5), IDENTITY)
+    with pytest.raises(ValueError, match="general functions need a haar rule"):
+        integral_modulus(fz, 0.5, sample_count=2, rule=rule)
 
 
 def _sampled_translations(rng, radius, count):

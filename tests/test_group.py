@@ -263,9 +263,21 @@ def test_haar_matrix_entry_second_moment():
 
 def test_haar_flat_view_matches_axes():
     r = haar_grid(4)
-    assert len(r) == len(r.weights) == r.nodes.shape[0]
     a, b = r.element_arrays()
+    assert len(r) == len(r.weights) == len(a)
     assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1).max() < 1e-14
+
+
+def test_haar_flat_arrays_follow_euler_parametrization():
+    # the flat arrays list the (alpha, beta, gamma) tensor grid in C order,
+    # bitwise as the Euler formulas give them node by node
+    r = haar_grid(6)
+    A, B, G = (x.ravel() for x in np.meshgrid(r.alpha, r.beta, r.gamma, indexing="ij"))
+    a, b = r.element_arrays()
+    assert np.array_equal(a, np.cos(B / 2) * np.exp(1j * (A + G) / 2))
+    assert np.array_equal(b, np.sin(B / 2) * np.exp(1j * (A - G) / 2))
+    w = np.broadcast_to(r.w_beta[None, :, None], (len(r.alpha), len(r.beta), len(r.gamma)))
+    assert np.array_equal(r.weights, w.ravel() / (len(r.alpha) * len(r.gamma)))
 
 
 def test_mul_arrays_matches_scalar_product():

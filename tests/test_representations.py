@@ -10,7 +10,6 @@ from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.representations import (
     char_eval,
     char_table,
-    degree,
     euler_diag_freqs,
     repr_matrices,
     repr_matrix,
@@ -213,7 +212,3 @@ def test_truncation_shift_relation():
             truncation_set("spherical", N).members
             == truncation_set("polyhedral", N + 1).members
         )
-
-
-def test_degree():
-    assert degree(0) == 1 and degree(7) == 8
