@@ -21,10 +21,10 @@ Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
 kernel D_m(t) = sin((2m+1)t/2)/sin(t/2) = 1 + 2 sum_{j<=m} cos(jt); both
 evaluations are provided, with series fallbacks inside |sin| < 1e-4 pole
-neighborhoods.  The L^1 norm (Lebesgue constant) is integrated piecewise
-between the known zeros t_k = 2 k pi/(2n+3) of the oscillating factor,
-8-node Gauss-Legendre per subinterval, which restores spectral accuracy lost
-to the absolute value.
+neighborhoods (summed in blocks of indices, in the plain loop's order).  The
+L^1 norm (Lebesgue constant) is integrated piecewise between the known zeros
+t_k = 2 k pi/(2n+3) of the oscillating factor, 8-node Gauss-Legendre per
+subinterval, which restores spectral accuracy lost to the absolute value.
 
 Partial sums are computed in coefficient space (exact for band-limited
 inputs); kernel convolution survives only as a test oracle.  Coefficients of
@@ -293,15 +293,35 @@ def _half_sine(t):
     return np.sin(t / 2)
 
 
+_SUM_BLOCK = 4096  # values of j per block: bounds a block to 4097 rows
+
+
+def _sum_in_blocks(acc: np.ndarray, n: int, terms) -> np.ndarray:
+    """acc + terms(1) + ... + terms(n), added left to right as a loop would.
+
+    ``terms(j)`` maps a column of indices j to one row of terms each.  The
+    indices run in blocks of at most _SUM_BLOCK; each block is stacked under
+    the running accumulator and accumulated in place along axis 0, which adds
+    row by row for any number of columns (a plain axis-0 sum of a single
+    column would add pairwise).
+    """
+    for lo in range(1, n + 1, _SUM_BLOCK):
+        j = np.arange(lo, min(lo + _SUM_BLOCK, n + 1))[:, None]
+        rows = np.concatenate((acc[None], terms(j)))
+        acc = np.add.accumulate(rows, axis=0, out=rows)[-1]
+    return acc
+
+
 def classical_dirichlet(n: int, t) -> np.ndarray | float:
-    """D_n(t) = sin((2n+1)t/2)/sin(t/2), with the cosine-sum fallback at poles."""
+    """D_n(t) = sin((2n+1)t/2)/sin(t/2), with the cosine-sum fallback at poles.
+
+    The fallback 1 + 2 sum_{j<=n} cos(jt) runs in blocks of j, in the order
+    of the plain loop over j, so it rounds exactly as that loop does.
+    """
 
     def cosine_sum(tt, m):
         tp = tt[m]
-        acc = np.ones_like(tp)
-        for j in range(1, n + 1):
-            acc += 2 * np.cos(j * tp)
-        return acc
+        return _sum_in_blocks(np.ones_like(tp), n, lambda j: 2 * np.cos(j * tp))
 
     return pole_safe(
         t, _half_sine, lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m], cosine_sum
@@ -309,7 +329,11 @@ def classical_dirichlet(n: int, t) -> np.ndarray | float:
 
 
 def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
-    """D'_n(t), analytic closed form with the -2 sum j sin(jt) fallback."""
+    """D'_n(t), analytic closed form with the -2 sum j sin(jt) fallback.
+
+    The fallback runs in blocks of j like that of ``classical_dirichlet``;
+    adding -(2j sin(jt)) rounds exactly as subtracting 2j sin(jt) in a loop.
+    """
     a = n + 0.5
 
     def quotient(tt, s, m):
@@ -320,10 +344,7 @@ def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
 
     def sine_sum(tt, m):
         tp = tt[m]
-        acc = np.zeros_like(tp)
-        for j in range(1, n + 1):
-            acc -= 2 * j * np.sin(j * tp)
-        return acc
+        return _sum_in_blocks(np.zeros_like(tp), n, lambda j: -2 * j * np.sin(j * tp))
 
     return pole_safe(t, _half_sine, quotient, sine_sum)
 

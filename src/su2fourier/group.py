@@ -40,6 +40,10 @@ Two integration rule types are provided, both normalized to total mass 1:
   sin(beta) weight in beta.  Products of matrix coefficients of total degree
   <= order are integrated to near machine precision.
 
+The Gauss-Legendre nodes and weights behind both rules are computed once per
+node count and cached read-only.  The arrays a rule stores or caches (nodes,
+weights, axes, element arrays) are read-only too: every caller shares them.
+
 All operations are pure; quadrature sums are evaluated with a fixed
 summation order, so results do not depend on execution interleaving.
 """
@@ -47,7 +51,7 @@ summation order, so results do not depend on execution interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -199,6 +203,12 @@ def random_directions(rng: np.random.Generator, size: int):
 _PANEL_NODES = 32
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class WeylRule:
     """Class-measure rule on [0, pi] from ``weyl_grid``.
@@ -210,6 +220,9 @@ class WeylRule:
     order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _read_only(self.nodes, self.weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -225,7 +238,7 @@ class QuadratureRule:
 
     Only the axes are stored, for separable fast paths; the flattened
     weights and (a, b) element arrays, in (alpha, beta, gamma) C order, are
-    built on first access (large rules never need them).
+    built on first access (large rules never need them).  All are read-only.
     """
 
     order: int
@@ -234,13 +247,18 @@ class QuadratureRule:
     w_beta: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        _read_only(self.alpha, self.beta, self.w_beta, self.gamma)
+
     def __len__(self) -> int:
         return len(self.alpha) * len(self.beta) * len(self.gamma)
 
     @cached_property
     def weights(self) -> np.ndarray:
         na, nb, ng = len(self.alpha), len(self.beta), len(self.gamma)
-        return np.broadcast_to(self.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
+        w = np.broadcast_to(self.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
+        _read_only(w)
+        return w
 
     @cached_property
     def _elements(self) -> tuple:
@@ -248,7 +266,7 @@ class QuadratureRule:
         be = self.beta[None, :, None]
         a = np.cos(be / 2) * np.exp(1j * (al + ga) / 2)
         b = np.sin(be / 2) * np.exp(1j * (al - ga) / 2)
-        return a.ravel(), b.ravel()
+        return _read_only(a.ravel(), b.ravel())
 
     def element_arrays(self):
         """Flattened (a, b) arrays of the rule's elements."""
@@ -259,13 +277,20 @@ class QuadratureRule:
         return np.dot(self.weights, values)
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(nodes: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per count."""
+    return _read_only(*leggauss(nodes))
+
+
 def gauss_panels(edges: np.ndarray, nodes: int):
     """Gauss-Legendre rule with ``nodes`` nodes on each cell [edges[i], edges[i+1]].
 
     Returns (t, w), both of shape (cells, nodes): sum(w * f(t)) approximates
-    the integral of f over [edges[0], edges[-1]].
+    the integral of f over [edges[0], edges[-1]].  The reference nodes and
+    weights come from a cache per node count; (t, w) are new arrays.
     """
-    xg, wg = leggauss(nodes)
+    xg, wg = _gauss_legendre(nodes)
     t0, t1 = edges[:-1], edges[1:]
     t = 0.5 * (xg[None, :] + 1) * (t1 - t0)[:, None] + t0[:, None]
     w = 0.5 * (t1 - t0)[:, None] * wg[None, :]
@@ -322,7 +347,7 @@ def haar_grid(order: int) -> QuadratureRule:
     ng = 2 * na
     al = 2 * np.pi * np.arange(na) / na
     ga = 4 * np.pi * np.arange(ng) / ng
-    xg, wg = leggauss(nb)
+    xg, wg = _gauss_legendre(nb)
     be = 0.5 * (xg + 1) * np.pi
     wb = 0.5 * np.pi * wg * np.sin(be) / 2.0  # int_0^pi sin = 2
     return QuadratureRule(order=order, alpha=al, beta=be, w_beta=wb, gamma=ga)

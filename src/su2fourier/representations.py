@@ -104,16 +104,18 @@ def char_table(n_max: int, theta: np.ndarray) -> np.ndarray:
 
     The recurrence U_{n+1} = 2 cos(theta) U_n - U_{n-1} is stable on [0, pi]
     (solutions stay oscillatory), so one pass serves every angle including
-    the poles.
+    the poles.  Each row is filled in place from 2 cos(theta), computed once,
+    with the rounding of (2 cos theta) U_n - U_{n-1} and no temporaries.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.cos(th)
+    x2 = 2 * np.cos(th)
     out = np.empty((n_max + 1,) + th.shape)
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = 2 * x
+        out[1] = x2
     for n in range(2, n_max + 1):
-        out[n] = 2 * x * out[n - 1] - out[n - 2]
+        np.multiply(x2, out[n - 1], out=out[n])
+        out[n] -= out[n - 2]
     return out
 
 

@@ -11,7 +11,13 @@ from su2fourier.group import (
     random_elements,
     weyl_grid,
 )
-from su2fourier.representations import char_eval, repr_matrices, repr_matrix, repr_matrix_batch
+from su2fourier.representations import (
+    char_eval,
+    pole_safe,
+    repr_matrices,
+    repr_matrix,
+    repr_matrix_batch,
+)
 from su2fourier.fourier import (
     band_limited_fn,
     char_fn,
@@ -307,6 +313,60 @@ def test_classical_deriv_pole_fallback():
     n = 7
     want = -2 * sum(j * np.sin(j * t) for j in range(1, n + 1))
     assert classical_dirichlet_deriv(n, t) == pytest.approx(want, rel=1e-10)
+
+
+def _half_sine(t):
+    return np.sin(t / 2)
+
+
+def _classical_dirichlet_loop(n, t):
+    # reference: the pole fallback as a plain loop over j
+    def cosine_sum(tt, m):
+        tp = tt[m]
+        acc = np.ones_like(tp)
+        for j in range(1, n + 1):
+            acc += 2 * np.cos(j * tp)
+        return acc
+
+    return pole_safe(
+        t, _half_sine, lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m], cosine_sum
+    )
+
+
+def _classical_dirichlet_deriv_loop(n, t):
+    a = n + 0.5
+
+    def quotient(tt, s, m):
+        ts = tt[m]
+        return (
+            a * np.cos(a * ts) * np.sin(ts / 2) - 0.5 * np.cos(ts / 2) * np.sin(a * ts)
+        ) / np.sin(ts / 2) ** 2
+
+    def sine_sum(tt, m):
+        tp = tt[m]
+        acc = np.zeros_like(tp)
+        for j in range(1, n + 1):
+            acc -= 2 * j * np.sin(j * tp)
+        return acc
+
+    return pole_safe(t, _half_sine, quotient, sine_sum)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 4097, 100001])
+def test_classical_dirichlet_blocked_fallback_is_bitwise_the_loop(n):
+    # 10 points inside the pole band |sin(t/2)| < 1e-4, around 0 and 2 pi,
+    # and 2 outside; the scalar case reduces a single column
+    rng = np.random.default_rng(n)
+    band = rng.uniform(-1.9e-4, 1.9e-4, 10) + np.repeat([0.0, 2 * np.pi], 5)
+    band[[0, 5]] = 0.0, 2 * np.pi
+    t = np.concatenate((band, [0.5, 3.0]))
+    assert (np.abs(np.sin(band / 2)) < 1e-4).all()
+    for fn, loop in (
+        (classical_dirichlet, _classical_dirichlet_loop),
+        (classical_dirichlet_deriv, _classical_dirichlet_deriv_loop),
+    ):
+        assert np.array_equal(fn(n, t), loop(n, t))
+        assert fn(n, band[1]) == loop(n, band[1])
 
 
 # ---------------------------------------------------------------- partial sums

@@ -11,6 +11,7 @@ from su2fourier.group import (
     LieVector,
     conj_angle,
     exp_map,
+    gauss_panels,
     haar_grid,
     make_element,
     metric_d,
@@ -19,6 +20,7 @@ from su2fourier.group import (
     random_directions,
     weyl_grid,
 )
+from su2fourier import group
 from su2fourier.representations import char_eval
 
 
@@ -278,6 +280,43 @@ def test_haar_flat_arrays_follow_euler_parametrization():
     assert np.array_equal(b, np.sin(B / 2) * np.exp(1j * (A - G) / 2))
     w = np.broadcast_to(r.w_beta[None, :, None], (len(r.alpha), len(r.beta), len(r.gamma)))
     assert np.array_equal(r.weights, w.ravel() / (len(r.alpha) * len(r.gamma)))
+
+
+_RULE_ARRAYS = {
+    "weyl.nodes": lambda: weyl_grid(8).nodes,
+    "weyl.weights": lambda: weyl_grid(8).weights,
+    "haar.alpha": lambda: haar_grid(8).alpha,
+    "haar.beta": lambda: haar_grid(8).beta,
+    "haar.w_beta": lambda: haar_grid(8).w_beta,
+    "haar.gamma": lambda: haar_grid(8).gamma,
+    "haar.weights": lambda: haar_grid(8).weights,
+    "haar.elements.a": lambda: haar_grid(8).element_arrays()[0],
+    "haar.elements.b": lambda: haar_grid(8).element_arrays()[1],
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_ARRAYS))
+def test_rule_arrays_are_read_only(name):
+    # every caller shares these arrays: a write would change later integrals
+    arr = _RULE_ARRAYS[name]()
+    with pytest.raises(ValueError):
+        arr[0] = 0
+    with pytest.raises(ValueError):
+        arr *= 0
+
+
+def test_gauss_panels_leave_no_cached_state_behind():
+    edges = np.array([0.0, 0.5, 2.0, np.pi])
+    t, w = gauss_panels(edges, 8)
+    t0, w0 = t.copy(), w.copy()
+    t[:] = 0
+    w[:] = 0
+    t1, w1 = gauss_panels(edges, 8)
+    assert np.array_equal(t1, t0) and np.array_equal(w1, w0)
+    xg, wg = group._gauss_legendre(8)
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_mul_arrays_matches_scalar_product():

@@ -53,6 +53,29 @@ def test_char_table_matches_pointwise():
         assert np.abs(table[n] - char_eval(n, th)).max() < 1e-11
 
 
+def _char_table_loop(n_max, theta):
+    # reference: the recurrence with a fresh row expression per degree
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    x = np.cos(th)
+    out = np.empty((n_max + 1,) + th.shape)
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = 2 * x
+    for n in range(2, n_max + 1):
+        out[n] = 2 * x * out[n - 1] - out[n - 2]
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 300])
+def test_char_table_in_place_recurrence_is_bitwise_the_loop(n_max):
+    rng = np.random.default_rng(n_max)
+    th = np.concatenate(([0.0, np.pi, 3e-5, np.pi - 3e-5], rng.uniform(0, np.pi, 60)))
+    assert np.array_equal(char_table(n_max, th), _char_table_loop(n_max, th))
+    grid = th.reshape(8, 8)
+    assert np.array_equal(char_table(n_max, grid), _char_table_loop(n_max, grid))
+    assert np.array_equal(char_table(n_max, 0.7), _char_table_loop(n_max, 0.7))
+
+
 # ---------------------------------------------------------------- matrices
 
 def test_repr_trivial_and_defining():
