@@ -257,9 +257,7 @@ def _cmd_partial_sum(args):
 
 def _cmd_modulus(args):
     f = parse_central_fn(args.fn)
-    prof = modulus_profile(
-        f, args.t_min, args.t_max, args.per_decade, args.samples, args.seed
-    )
+    prof = modulus_profile(f, args.t_min, args.t_max, args.per_decade)
     rows = [
         {"t": float(t), "omega": float(o)}
         for t, o in zip(prof.t_values, prof.omega_values)
@@ -270,9 +268,7 @@ def _cmd_modulus(args):
 def _cmd_dini(args):
     f = parse_central_fn(args.fn)
     t_mins = sorted(args.t_min_list, reverse=True)
-    prof = modulus_profile(
-        f, min(t_mins), args.t_max, args.per_decade, args.samples, args.seed
-    )
+    prof = modulus_profile(f, min(t_mins), args.t_max, args.per_decade)
     rows = [
         {"t_min": float(tm), "integral": float(dini_integral(prof, tm))}
         for tm in t_mins
@@ -284,7 +280,7 @@ def _cmd_jackson(args):
     f = parse_central_fn(args.fn)
     rows = []
     for k in args.k:
-        pt = jackson_ratio(f, k, seed=args.seed)
+        pt = jackson_ratio(f, k)
         rows.append(
             {
                 "k": k,
@@ -371,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-min", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=1.0)
     sp.add_argument("--per-decade", type=int, default=16)
-    sp.add_argument("--samples", type=int, default=64)
     common(sp)
 
     sp = sub.add_parser("dini", help="Dini integral of the squared modulus")
@@ -379,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-min-list", type=parse_float_list, default=[1e-2, 1e-3, 1e-4])
     sp.add_argument("--t-max", type=float, default=1.0)
     sp.add_argument("--per-decade", type=int, default=16)
-    sp.add_argument("--samples", type=int, default=64)
     common(sp)
 
     sp = sub.add_parser("jackson", help="best approximation over modulus quotients")

@@ -40,7 +40,6 @@ import numpy as np
 from .group import (
     GroupElement,
     QuadratureRule,
-    WeylRule,
     exp_arrays,
     mul_arrays,
     random_directions,
@@ -123,21 +122,22 @@ def integral_modulus(
     sample_count: int = 64,
     seed: int = 0,
     rule: QuadratureRule | None = None,
-    n_max: int = DEFAULT_COEFF_LIMIT,
     radii=None,
 ) -> float:
     """Lower estimate of Omega(f, t) = sup over translations of amplitude <= t.
 
     Radii default to the strata {t, t/2, t/4}.  Central f goes through the
-    exact coefficient form, where the direction of X is provably irrelevant;
-    general f needs ``rule`` and samples ``sample_count`` directions per
-    radius (deterministic for a fixed seed), evaluating f on the rule once.
+    exact coefficient form on its first DEFAULT_COEFF_LIMIT + 1 coefficients,
+    where the direction of X is provably irrelevant, and ignores
+    ``sample_count``, ``seed`` and ``rule``.  General f needs the Haar
+    ``rule`` and samples ``sample_count`` directions per radius
+    (deterministic for a fixed seed), evaluating f on the rule once.
     """
     if not 0 < t <= np.pi:
         raise ValueError("t must lie in (0, pi]")
     rr = np.asarray(radii, dtype=float) if radii is not None else t * np.array([1.0, 0.5, 0.25])
     if isinstance(f, CentralFn):
-        c = f.coeffs(n_max)
+        c = f.coeffs(DEFAULT_COEFF_LIMIT)
         return float(np.max(central_translate_norm(c, rr)))
     rng = np.random.default_rng(seed)
     hs = []
@@ -155,8 +155,6 @@ class ModulusProfile:
 
     t_values: np.ndarray
     omega_values: np.ndarray
-    sample_count: int
-    seed: int
 
     def __post_init__(self):
         if not np.all(np.diff(self.t_values) < 0):
@@ -171,18 +169,23 @@ def modulus_profile(
     sample_count: int = 64,
     seed: int = 0,
     rule: QuadratureRule | None = None,
-    n_max: int = DEFAULT_COEFF_LIMIT,
 ) -> ModulusProfile:
     """Omega on a log-spaced grid (>= per_decade points per decade).
 
-    Each Omega(t) is the running supremum over all grid radii <= t, so the
-    profile is monotone by construction (nested sampling).
+    The radii must satisfy 0 < t_min <= t_max <= pi.  Each Omega(t) is the
+    running supremum over all grid radii <= t, so the profile is monotone by
+    construction (nested sampling).  Central f uses the exact coefficient
+    form on DEFAULT_COEFF_LIMIT + 1 coefficients; general f samples each
+    radius as ``integral_modulus(..., radii=[t])`` does, with
+    ``sample_count``, ``seed`` and the Haar ``rule``.
     """
+    if not 0 < t_min <= t_max <= np.pi:
+        raise ValueError(f"radii must satisfy 0 < t_min <= t_max <= pi, got {t_min}, {t_max}")
     decades = np.log10(t_max / t_min)
     count = int(np.ceil(per_decade * decades)) + 1
     ts = np.geomspace(t_min, t_max, count)
     if isinstance(f, CentralFn):
-        c = f.coeffs(n_max)
+        c = f.coeffs(DEFAULT_COEFF_LIMIT)
         vals = central_translate_norm(c, ts)
     else:
         vals = np.array(
@@ -192,12 +195,7 @@ def modulus_profile(
             ]
         )
     omega = np.maximum.accumulate(vals)
-    return ModulusProfile(
-        t_values=ts[::-1].copy(),
-        omega_values=omega[::-1].copy(),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return ModulusProfile(t_values=ts[::-1].copy(), omega_values=omega[::-1].copy())
 
 
 def dini_integral(profile: ModulusProfile, t_min: float) -> float:
@@ -223,16 +221,11 @@ def dini_integral(profile: ModulusProfile, t_min: float) -> float:
     return float(np.trapezoid(yy, ss))
 
 
-def best_approx(
-    f: CentralFn,
-    M: int,
-    coeffs: np.ndarray | None = None,
-    rule: WeylRule | None = None,
-) -> float:
+def best_approx(f: CentralFn, M: int, coeffs: np.ndarray | None = None) -> float:
     """E_M(f) = sqrt(||f||^2 - sum_{n<=M} |c_n|^2), clipped at 0 for rounding."""
-    c = coeffs if coeffs is not None else f.coeffs(M, rule)
+    c = coeffs if coeffs is not None else f.coeffs(M)
     head = float(np.sum(np.abs(c[: M + 1]) ** 2))
-    return sqrt(max(0.0, f.l2_norm_sq(rule) - head))
+    return sqrt(max(0.0, f.l2_norm_sq() - head))
 
 
 @dataclass(frozen=True)
@@ -246,24 +239,17 @@ class JacksonPoint:
     degenerate: bool  # Omega == 0 (f constant up to sampling): no quotient
 
 
-def jackson_ratio(
-    f: CentralFn,
-    k: int,
-    n_max: int = DEFAULT_COEFF_LIMIT,
-    rule: WeylRule | None = None,
-    sample_count: int = 64,
-    seed: int = 0,
-) -> JacksonPoint:
-    """Jackson quotient at scale k; both sides computed by this package.
+def jackson_ratio(f: CentralFn, k: int) -> JacksonPoint:
+    """Jackson quotient E_{2^k}(f) / Omega(f, 2^{-k}) of a central f.
 
-    The theorem guarantees a uniform bound; the constant is an empirical
-    record, not an assertion.
+    Both sides come from the one coefficient path of f: E from its first
+    max(DEFAULT_COEFF_LIMIT, 2^k) + 1 coefficients and ||f||^2, Omega from
+    the exact coefficient form on its first DEFAULT_COEFF_LIMIT + 1.  The
+    theorem guarantees a uniform bound; the constant is an empirical record,
+    not an assertion.
     """
-    coeffs = f.coeffs(max(n_max, 2**k), rule)
-    e_val = best_approx(f, 2**k, coeffs=coeffs)
-    omega = integral_modulus(
-        f, 2.0**-k, sample_count=sample_count, seed=seed, rule=rule, n_max=n_max
-    )
+    e_val = best_approx(f, 2**k, coeffs=f.coeffs(max(DEFAULT_COEFF_LIMIT, 2**k)))
+    omega = integral_modulus(f, 2.0**-k)
     if omega == 0.0:
         return JacksonPoint(k=k, best_approx=e_val, modulus=0.0, ratio=float("nan"), degenerate=True)
     return JacksonPoint(k=k, best_approx=e_val, modulus=omega, ratio=e_val / omega, degenerate=False)
@@ -285,18 +271,12 @@ def log_weighted_block_sum(coeffs: np.ndarray, J: int) -> float:
     return float(np.sum(np.log(j) * np.abs(c[2 : top + 1]) ** 2))
 
 
-def uniform_error_central(
-    f: CentralFn,
-    N: int,
-    delta: float,
-    grid_size: int = 2000,
-    rule: WeylRule | None = None,
-) -> float:
+def uniform_error_central(f: CentralFn, N: int, delta: float, grid_size: int = 2000) -> float:
     """max over [delta, pi - delta] of |S_N f(omega(theta)) - f(omega(theta))|."""
     if not 0 <= delta < np.pi / 2:
         raise ValueError("delta must lie in [0, pi/2)")
     th = np.linspace(delta, np.pi - delta, grid_size)
-    c = f.coeffs(N, rule)
+    c = f.coeffs(N)
     vals = c @ char_table(N, th)
     return float(np.max(np.abs(vals - f(th))))
 

@@ -31,7 +31,8 @@ inputs); kernel convolution survives only as a test oracle.  Coefficients of
 a piecewise-linear central function are also available in closed form (the
 integrals of (linear) x cos(k theta) per segment), which anchors the
 quadrature path.  Computed coefficient vectors are cached per function and
-rule, read-only; populate caches single-threaded before any parallel read.
+coefficient path, read-only; populate caches single-threaded before any
+parallel read.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "partial_sum_central",
     "partial_sum_general",
     "lebesgue_constant",
-    "block_energies",
 ]
 
 # --------------------------------------------------------------------------
@@ -108,56 +108,46 @@ class CentralFn:
         """Evaluate at group elements given as (a, b) arrays."""
         return self.fn(conj_angle_arrays(a, b))
 
-    def coeffs(self, n_max: int, rule: WeylRule | None = None) -> np.ndarray:
-        """Coefficients c_0..c_{n_max}; exact paths preferred, else quadrature.
+    def coeffs(self, n_max: int) -> np.ndarray:
+        """Coefficients c_0..c_{n_max} from the function's one coefficient path.
 
-        With ``rule`` None: breakpoint functions use the closed form,
-        band-limited ones their stored vector, anything else an auto-built
-        graded rule sized for n_max.  Results are cached per path: the closed
-        form, the n_max bucket of the auto rule, or the nodes and weights of
-        the supplied rule.  Cached vectors are read-only.
+        Band-limited functions return their stored vector, breakpoint
+        functions the closed form, anything else the quadrature on an
+        auto-built graded Weyl rule sized for n_max.  The closed form and each
+        n_max bucket of the auto rule are cached; cached vectors are read-only.
         """
         if self.band_coeffs is not None:
             c = np.zeros(n_max + 1, dtype=self.band_coeffs.dtype)
             m = min(n_max + 1, len(self.band_coeffs))
             c[:m] = self.band_coeffs[:m]
             return c
-        if rule is None and self.breakpoints is not None:
+        if self.breakpoints is not None:
             key = ("exact",)
-        elif rule is None:
-            # bucket n_max so sweeps over N reuse one rule
-            bucket = 256 * int(np.ceil((n_max + 1) / 256))
-            key = ("auto", bucket)
-        elif not isinstance(rule, WeylRule):
-            # before the key: hashing a 3D rule's weights would materialise them
-            raise ValueError("central coefficients need a weyl_1d rule")
         else:
-            key = ("rule", rule.nodes.tobytes(), rule.weights.tobytes())
+            # bucket n_max so sweeps over N reuse one rule
+            key = ("auto", 256 * int(np.ceil((n_max + 1) / 256)))
         cached = self._cache.get(key)
         if cached is not None and len(cached) >= n_max + 1:
             return cached[: n_max + 1]
-        if key[0] == "exact":
+        if self.breakpoints is not None:
             c = _pl_coeffs(*self.breakpoints, n_max)
         else:
-            use = rule
-            if use is None:
-                use = weyl_grid(order=key[1] // 2 + 8, cusps=self.cusps)
-            c = _quadrature_coeffs(self, n_max, use)
+            rule = weyl_grid(order=key[1] // 2 + 8, cusps=self.cusps)
+            c = _quadrature_coeffs(self, n_max, rule)
         c.flags.writeable = False
         self._cache[key] = c
         return c
 
-    def l2_norm_sq(self, rule: WeylRule | None = None) -> float:
-        """Exact closed forms where available, quadrature otherwise."""
+    def l2_norm_sq(self) -> float:
+        """Exact closed forms where available, graded quadrature otherwise."""
         if self.norm_sq is not None:
             return self.norm_sq
         if self.band_coeffs is not None:
             return float(np.sum(np.abs(self.band_coeffs) ** 2))
         if self.breakpoints is not None:
             return _pl_norm_sq(*self.breakpoints)
-        use = rule if rule is not None else weyl_grid(order=520, cusps=self.cusps)
-        vals = self.fn(use.nodes)
-        return float(np.real(use.integrate(np.abs(vals) ** 2)))
+        rule = weyl_grid(order=520, cusps=self.cusps)
+        return float(np.real(rule.integrate(np.abs(self.fn(rule.nodes)) ** 2)))
 
 
 def char_fn(n: int) -> CentralFn:
@@ -277,14 +267,6 @@ def _quadrature_coeffs(f: CentralFn, n_max: int, rule: WeylRule) -> np.ndarray:
     return c
 
 
-def block_energies(coeffs, tset) -> np.ndarray:
-    """Squared L^2 norms of the block projections for a central function."""
-    c = np.asarray(coeffs)
-    return np.array(
-        [sum(abs(c[m]) ** 2 for m in blk if m < len(c)) for blk in tset.blocks]
-    )
-
-
 # --------------------------------------------------------------------------
 # Dirichlet kernels
 # --------------------------------------------------------------------------
@@ -389,16 +371,14 @@ def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
 # partial sums
 # --------------------------------------------------------------------------
 
-def partial_sum_central(
-    f: CentralFn, N: int, mode: str, theta, rule: WeylRule | None = None
-):
+def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     """sum_{n in truncation_set(mode, N)} c_n chi_n(theta).
 
     Spherical mode at order N uses the members {0..N+1} and therefore equals
     the polyhedral sum at N+1 coefficient-by-coefficient.
     """
     tset = truncation_set(mode, N)
-    c = f.coeffs(tset.max_index, rule)
+    c = f.coeffs(tset.max_index)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     table = char_table(tset.max_index, th)
     members = np.fromiter(tset.members, dtype=int)
@@ -411,18 +391,6 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
 
     f is a CentralFn or a batch callable on (a, b) arrays, and ``rule`` the
     Euler tensor rule of ``haar_grid``; any other rule raises ValueError.
-    The matrices factorize through diagonal Euler phases and the little-d
-    factor, so the sum is reassociated into one (alpha, gamma) transform per
-    beta node followed by a weighted beta sum against d_k.
-    """
-    if not isinstance(rule, QuadratureRule):
-        raise ValueError("matrix coefficients need a haar_euler_3d rule")
-    return _matrix_coeffs_euler(f, n_max, rule)
-
-
-def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
-    """Separable evaluation of the F_k sums on an Euler tensor rule.
-
     With pi_k[q, p] = e^{i alpha (k-2q)/2} d_k(beta)[q, p] e^{i gamma (k-2p)/2},
     F_k[p, q] = sum over the grid of w f conj(pi_k[q, p]), so the alpha
     transform carries the q-frequencies and the gamma transform the
@@ -430,8 +398,11 @@ def _matrix_coeffs_euler(f, n_max: int, rule: QuadratureRule) -> list:
     Euler phases e^{i (alpha +- gamma)/2} are built once, each slab scales
     them by cos(beta/2) and sin(beta/2), and its two transforms are matrix
     products, Y[beta] = E_alpha @ f(slab) @ E_gamma (Kostelec & Rockmore,
-    FFTs on the rotation group, JFAA 2008).
+    FFTs on the rotation group, JFAA 2008).  A weighted beta sum against
+    d_k then gives each F_k.
     """
+    if not isinstance(rule, QuadratureRule):
+        raise ValueError("matrix coefficients need a haar_euler_3d rule")
     fg = f.on_group if isinstance(f, CentralFn) else f
     al, be, wb, ga = rule.alpha, rule.beta, rule.w_beta, rule.gamma
     freqs = np.arange(-n_max, n_max + 1)

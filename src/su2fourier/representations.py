@@ -58,7 +58,6 @@ __all__ = [
     "char_table",
     "repr_matrices",
     "repr_matrix",
-    "repr_matrix_batch",
     "wigner_d",
     "TruncationSet",
     "truncation_set",
@@ -107,6 +106,8 @@ def char_table(n_max: int, theta: np.ndarray) -> np.ndarray:
     the poles.  Each row is filled in place from 2 cos(theta), computed once,
     with the rounding of (2 cos theta) U_n - U_{n-1} and no temporaries.
     """
+    if n_max < 0:
+        raise ValueError(f"degree n must be >= 0, got {n_max}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     x2 = 2 * np.cos(th)
     out = np.empty((n_max + 1,) + th.shape)
@@ -151,14 +152,9 @@ def repr_matrices(n_max: int, a, b):
         M = nxt
 
 
-def repr_matrix_batch(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """pi_n at arrays of elements; returns shape a.shape + (n+1, n+1)."""
-    return deque(repr_matrices(n, np.asarray(a, complex), np.asarray(b, complex)), maxlen=1)[0]
-
-
 def repr_matrix(n: int, x) -> np.ndarray:
     """pi_n(x) as an (n+1) x (n+1) unitary matrix."""
-    return repr_matrix_batch(n, x.a, x.b)
+    return deque(repr_matrices(n, np.asarray(x.a, complex), np.asarray(x.b, complex)), maxlen=1)[0]
 
 
 def wigner_d(n: int, beta: np.ndarray) -> np.ndarray:

@@ -156,9 +156,21 @@ def test_full_float_precision_roundtrip(tmp_path):
 
 # ---------------------------------------------------------------- plumbing
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["lebesgue", "--n", "abc"]) == 2
+    capsys.readouterr()
+    for argv in (
+        ["modulus", "--t-min", "0"],
+        ["modulus", "--t-min", "-1"],
+        ["modulus", "--t-min", "2", "--t-max", "1"],
+        ["dini", "--t-min-list", "0"],
+        ["kernel-check", "--n-max", "-1"],
+    ):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("su2fourier: ")
 
 
 def test_outdir_env(tmp_path, monkeypatch):

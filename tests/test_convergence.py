@@ -155,6 +155,10 @@ def test_modulus_rejects_bad_radius():
     fz = left_translate(sawtooth(4), IDENTITY)
     with pytest.raises(ValueError):
         modulus_profile(fz, 0.5, 4.0, per_decade=2, sample_count=1, rule=haar_grid(4))
+    # the central branch checks the radii too
+    for t_min, t_max in [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (0.5, 4.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="0 < t_min <= t_max <= pi"):
+            modulus_profile(sawtooth(4), t_min, t_max)
 
 
 @pytest.mark.parametrize("rule", [None, weyl_grid(8)], ids=["none", "weyl"])
@@ -204,12 +208,7 @@ def test_modulus_profile_general_matches_integral_modulus():
 # ---------------------------------------------------------------- dini integral
 
 def _profile_from(ts, omegas):
-    return ModulusProfile(
-        t_values=ts[::-1].copy(),
-        omega_values=omegas[::-1].copy(),
-        sample_count=0,
-        seed=0,
-    )
+    return ModulusProfile(t_values=ts[::-1].copy(), omega_values=omegas[::-1].copy())
 
 
 def test_dini_zero_profile():

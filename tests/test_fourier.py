@@ -16,9 +16,9 @@ from su2fourier.representations import (
     pole_safe,
     repr_matrices,
     repr_matrix,
-    repr_matrix_batch,
 )
 from su2fourier.fourier import (
+    _quadrature_coeffs,
     band_limited_fn,
     char_fn,
     classical_dirichlet,
@@ -48,14 +48,14 @@ def test_coeff_central_character_delta():
     f = char_fn(3)
     for n in range(6):
         want = 1.0 if n == 3 else 0.0
-        assert f.coeffs(n, rule)[n] == pytest.approx(want, abs=1e-11)
+        assert _quadrature_coeffs(f, n, rule)[n] == pytest.approx(want, abs=1e-11)
 
 
 def test_coeff_central_constant():
     rule = weyl_grid(6)
     f = const_fn(1.0)
-    assert f.coeffs(0, rule)[0] == pytest.approx(1.0, abs=1e-13)
-    assert f.coeffs(4, rule)[4] == pytest.approx(0.0, abs=1e-13)
+    assert _quadrature_coeffs(f, 0, rule)[0] == pytest.approx(1.0, abs=1e-13)
+    assert _quadrature_coeffs(f, 4, rule)[4] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_coeff_central_cosine():
@@ -64,19 +64,9 @@ def test_coeff_central_cosine():
     from su2fourier.fourier import CentralFn
 
     f = CentralFn(fn=np.cos, name="cos")
-    assert f.coeffs(1, rule)[1] == pytest.approx(0.5, abs=1e-13)
+    assert _quadrature_coeffs(f, 1, rule)[1] == pytest.approx(0.5, abs=1e-13)
     for n in (0, 2, 3):
-        assert f.coeffs(n, rule)[n] == pytest.approx(0.0, abs=1e-13)
-
-
-def test_coeffs_cache_keyed_on_rule_data():
-    # same type, order and size; only the graded cusp panels differ
-    r1, r2 = weyl_grid(8, cusps=(0.5,)), weyl_grid(8, cusps=(2.5,))
-    assert (type(r1), r1.order, len(r1)) == (type(r2), r2.order, len(r2))
-    h = sqrt_shift_fn()
-    first = h.coeffs(60, r1).copy()
-    assert np.array_equal(h.coeffs(60, r2), sqrt_shift_fn().coeffs(60, r2))
-    assert np.array_equal(h.coeffs(60, r1), first)
+        assert _quadrature_coeffs(f, n, rule)[n] == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("make", [sqrt_shift_fn, lambda: sawtooth(5)], ids=["auto", "exact"])
@@ -96,7 +86,7 @@ def test_pl_coeffs_quadrature_vs_closed_form(n):
     th, _ = sawtooth_breakpoints(n)
     rule = weyl_grid(2 * n + 16, cusps=tuple(th[1:-1]))
     exact = f.coeffs(n + 4)
-    quad = f.coeffs(n + 4, rule)
+    quad = _quadrature_coeffs(f, n + 4, rule)
     assert np.abs(exact - quad).max() < 1e-10
 
 
@@ -105,7 +95,7 @@ def test_parseval_band_limited():
     c = rng.normal(size=51)
     f = band_limited_fn(c)
     rule = weyl_grid(120)
-    got = f.coeffs(50, rule)
+    got = _quadrature_coeffs(f, 50, rule)
     assert np.abs(got - c).max() < 1e-10
     assert rule.integrate(np.abs(f(rule.nodes)) ** 2) == pytest.approx(
         np.sum(c**2), abs=1e-10
@@ -137,7 +127,7 @@ def test_coeff_matrix_schur_entry():
     rule = haar_grid(16)
 
     def f(a, b):
-        return repr_matrix_batch(2, a, b)[..., 0, 1]
+        return list(repr_matrices(2, a, b))[2][..., 0, 1]
 
     F2 = matrix_coeffs(f, 2, rule)[2]
     want = np.zeros((3, 3), dtype=complex)
@@ -201,13 +191,6 @@ def test_matrix_coeffs_rejects_non_euler_rule():
         matrix_coeffs(sawtooth(3), 2, weyl_grid(8))
 
 
-def test_coeffs_rejects_3d_rule_without_materialising_it():
-    rule = haar_grid(96)
-    with pytest.raises(ValueError, match="weyl_1d"):
-        sawtooth(5).coeffs(10, rule)
-    assert "weights" not in vars(rule) and "_elements" not in vars(rule)
-
-
 def test_left_translate_central_matches_group_product():
     # the central shortcut forms only the a-entry of z y: same floats as the
     # full product followed by on_group
@@ -217,17 +200,6 @@ def test_left_translate_central_matches_group_product():
     for f in (sawtooth(6), sqrt_shift_fn(), band_limited_fn(np.array([0.2, -1.0, 0.5j]))):
         want = f.on_group(*mul_arrays(z.a, z.b, a, b))
         assert np.array_equal(left_translate(f, z)(a, b), want)
-
-
-def test_block_energies_over_truncation_blocks():
-    from su2fourier.fourier import block_energies
-    from su2fourier.representations import truncation_set
-
-    c = np.array([0.5, -1.0, 2.0, 0.25, 0.0])
-    sph = truncation_set("spherical", 3)
-    got = block_energies(c, sph)
-    want = [1.0, 0.25 + 4.0, 0.0625, 0.0]
-    assert np.allclose(got, want, atol=1e-15)
 
 
 def test_block_energies_match_frobenius():
@@ -420,7 +392,7 @@ def test_partial_sum_general_reproduces_matrix_coefficient():
     rule = haar_grid(16)
 
     def f(a, b):
-        return repr_matrix_batch(3, a, b)[..., 1, 2]
+        return list(repr_matrices(3, a, b))[3][..., 1, 2]
 
     for _ in range(3):
         x = random_element(rng)

@@ -13,7 +13,6 @@ from su2fourier.representations import (
     euler_diag_freqs,
     repr_matrices,
     repr_matrix,
-    repr_matrix_batch,
     truncation_set,
     wigner_d,
 )
@@ -158,7 +157,9 @@ def test_repr_matches_binomial_sum():
 
 def test_repr_negative_degree():
     with pytest.raises(ValueError):
-        repr_matrix_batch(-1, np.array([1.0 + 0j]), np.array([0j]))
+        repr_matrix(-1, GroupElement(1.0 + 0j, 0j))
+    with pytest.raises(ValueError, match="degree n must be >= 0"):
+        char_table(-1, np.array([0.5]))
 
 
 def test_schur_orthogonality():
@@ -186,7 +187,7 @@ def test_euler_factorization():
         be = rng.uniform(0, np.pi)
         a = np.cos(be / 2) * np.exp(1j * (al + ga) / 2)
         b = np.sin(be / 2) * np.exp(1j * (al - ga) / 2)
-        direct = repr_matrix_batch(n, np.array([a]), np.array([b]))[0]
+        direct = repr_matrix(n, GroupElement(a, b))
         d = wigner_d(n, np.array([be]))[0]
         ph = euler_diag_freqs(n) / 2
         fact = np.exp(1j * al * ph)[:, None] * d * np.exp(1j * ga * ph)[None, :]
