@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .group import (
     GroupElement,
     IDENTITY,
-    LieVector,
     QuadratureRule,
     WeylRule,
     conj_angle,
-    exp_map,
     haar_grid,
     make_element,
     metric_d,

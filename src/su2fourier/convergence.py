@@ -19,8 +19,9 @@ For central f the translate difference has the exact coefficient form
 
 independent of the direction of X (class functions only see the conjugacy
 angle of the translation), which anchors the general 3D quadrature path.
-That path evaluates f on the Haar rule once per ``integral_modulus`` call and one
-translate f(h^{-1} .) per sampled direction.
+That path draws each radius's directions in one batch, evaluates f on the Haar
+rule once per ``integral_modulus`` or ``modulus_profile`` call, and evaluates
+one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -37,14 +38,8 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 
-from .group import (
-    GroupElement,
-    QuadratureRule,
-    exp_arrays,
-    mul_arrays,
-    random_directions,
-)
-from .fourier import CentralFn
+from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
+from .fourier import CentralFn, left_translate, partial_sum_central
 from .representations import char_table
 
 __all__ = [
@@ -65,18 +60,21 @@ __all__ = [
 ]
 
 DEFAULT_COEFF_LIMIT = 4096
+_STRATA = np.array([1.0, 0.5, 0.25])  # integral_modulus samples radii t * _STRATA
 
 
 def delta_translate(f, h: GroupElement):
     """x -> f(x) - f(h^{-1} x) as a batch callable on (a, b) arrays."""
     fg = f.on_group if isinstance(f, CentralFn) else f
-    hi = h.inverse()
+    translated = left_translate(f, h.inverse())
+    return lambda a, b: fg(a, b) - translated(a, b)
 
-    def diff(a, b):
-        ah, bh = mul_arrays(hi.a, hi.b, a, b)
-        return fg(a, b) - fg(ah, bh)
 
-    return diff
+def _translations(rng: np.random.Generator, r: float, count: int) -> list:
+    """exp(r X) for ``count`` uniform unit directions X drawn from rng."""
+    cs, betas = random_directions(rng, count)
+    ah, bh = exp_arrays(r * cs, r * betas)
+    return [GroupElement(complex(x), complex(y)) for x, y in zip(ah, bh)]
 
 
 def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
@@ -92,8 +90,7 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     base = fg(a, b)
     norms = []
     for h in hs:
-        hi = h.inverse()
-        vals = base - fg(*mul_arrays(hi.a, hi.b, a, b))
+        vals = base - left_translate(f, h.inverse())(a, b)
         norms.append(float(np.sqrt(np.real(rule.integrate(np.abs(vals) ** 2)))))
     return norms
 
@@ -122,30 +119,23 @@ def integral_modulus(
     sample_count: int = 64,
     seed: int = 0,
     rule: QuadratureRule | None = None,
-    radii=None,
 ) -> float:
     """Lower estimate of Omega(f, t) = sup over translations of amplitude <= t.
 
-    Radii default to the strata {t, t/2, t/4}.  Central f goes through the
-    exact coefficient form on its first DEFAULT_COEFF_LIMIT + 1 coefficients,
-    where the direction of X is provably irrelevant, and ignores
-    ``sample_count``, ``seed`` and ``rule``.  General f needs the Haar
-    ``rule`` and samples ``sample_count`` directions per radius
-    (deterministic for a fixed seed), evaluating f on the rule once.
+    The radii are the strata {t, t/2, t/4}.  Central f goes through the exact
+    coefficient form on its first DEFAULT_COEFF_LIMIT + 1 coefficients, where
+    the direction of X is provably irrelevant, and ignores ``sample_count``,
+    ``seed`` and ``rule``.  General f needs the Haar ``rule`` and samples
+    ``sample_count`` directions per radius from one generator seeded with
+    ``seed``, evaluating f on the rule once per call.
     """
     if not 0 < t <= np.pi:
         raise ValueError("t must lie in (0, pi]")
-    rr = np.asarray(radii, dtype=float) if radii is not None else t * np.array([1.0, 0.5, 0.25])
     if isinstance(f, CentralFn):
         c = f.coeffs(DEFAULT_COEFF_LIMIT)
-        return float(np.max(central_translate_norm(c, rr)))
+        return float(np.max(central_translate_norm(c, t * _STRATA)))
     rng = np.random.default_rng(seed)
-    hs = []
-    for r in rr:
-        cs, betas = random_directions(rng, sample_count)
-        for c0, b0 in zip(cs, betas):
-            ah, bh = exp_arrays(np.array([r * c0]), np.array([r * b0]))
-            hs.append(GroupElement(complex(ah[0]), complex(bh[0])))
+    hs = [h for r in t * _STRATA for h in _translations(rng, r, sample_count)]
     return max(_translate_norms(f, hs, rule), default=0.0)
 
 
@@ -175,9 +165,10 @@ def modulus_profile(
     The radii must satisfy 0 < t_min <= t_max <= pi.  Each Omega(t) is the
     running supremum over all grid radii <= t, so the profile is monotone by
     construction (nested sampling).  Central f uses the exact coefficient
-    form on DEFAULT_COEFF_LIMIT + 1 coefficients; general f samples each
-    radius as ``integral_modulus(..., radii=[t])`` does, with
-    ``sample_count``, ``seed`` and the Haar ``rule``.
+    form on DEFAULT_COEFF_LIMIT + 1 coefficients.  General f needs the Haar
+    ``rule`` and samples ``sample_count`` directions per radius, each radius
+    from a fresh generator seeded with ``seed``; f is evaluated on the rule
+    once per call.
     """
     if not 0 < t_min <= t_max <= np.pi:
         raise ValueError(f"radii must satisfy 0 < t_min <= t_max <= pi, got {t_min}, {t_max}")
@@ -188,12 +179,10 @@ def modulus_profile(
         c = f.coeffs(DEFAULT_COEFF_LIMIT)
         vals = central_translate_norm(c, ts)
     else:
-        vals = np.array(
-            [
-                integral_modulus(f, t, sample_count, seed, rule, radii=[t])
-                for t in ts
-            ]
-        )
+        hs = [h for t in ts for h in _translations(np.random.default_rng(seed), t, sample_count)]
+        norms = _translate_norms(f, hs, rule)
+        k = sample_count
+        vals = np.array([max(norms[i * k : (i + 1) * k], default=0.0) for i in range(count)])
     omega = np.maximum.accumulate(vals)
     return ModulusProfile(t_values=ts[::-1].copy(), omega_values=omega[::-1].copy())
 
@@ -248,6 +237,8 @@ def jackson_ratio(f: CentralFn, k: int) -> JacksonPoint:
     theorem guarantees a uniform bound; the constant is an empirical record,
     not an assertion.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     e_val = best_approx(f, 2**k, coeffs=f.coeffs(max(DEFAULT_COEFF_LIMIT, 2**k)))
     omega = integral_modulus(f, 2.0**-k)
     if omega == 0.0:
@@ -276,8 +267,7 @@ def uniform_error_central(f: CentralFn, N: int, delta: float, grid_size: int = 2
     if not 0 <= delta < np.pi / 2:
         raise ValueError("delta must lie in [0, pi/2)")
     th = np.linspace(delta, np.pi - delta, grid_size)
-    c = f.coeffs(N)
-    vals = c @ char_table(N, th)
+    vals = partial_sum_central(f, N, "polyhedral", th)
     return float(np.max(np.abs(vals - f(th))))
 
 

@@ -93,6 +93,9 @@ __all__ = [
 
 
 def sawtooth_breakpoints(n: int):
+    """Breakpoint angles and values of the witness profile g_n; requires n >= 2."""
+    if n < 2:
+        raise ValueError("sawtooth witnesses need n >= 2")
     M = 2 * n + 3
     th = np.append(2 * np.pi * np.arange(n + 2) / M, np.pi)
     va = np.append((-1.0) ** np.arange(n + 2), 0.0)
@@ -105,8 +108,6 @@ def sawtooth(n: int) -> CentralFn:
     (For n < 2 the extrema interlacing that drives the lower bounds breaks
     down, so such witnesses are rejected.)
     """
-    if n < 2:
-        raise ValueError("sawtooth witnesses need n >= 2")
     th, va = sawtooth_breakpoints(n)
     return from_breakpoints(th, va, name=f"sawtooth:{n}")
 
@@ -187,8 +188,6 @@ def functional_split(n: int, nodes_per_cell: int = 8) -> FunctionalSplit:
     per-cell Gauss rule is exact to machine precision; the two-term total
     must agree with the coefficient path for S_n f_n(e).
     """
-    if n < 2:
-        raise ValueError("sawtooth witnesses need n >= 2")
     th, va = sawtooth_breakpoints(n)
     tt, ww = gauss_panels(th, nodes_per_cell)
     g = np.interp(tt, th, va)
@@ -242,8 +241,6 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     every margin is a true inequality, so a violation signals an
     under-resolved rule, not bad mathematics.
     """
-    if n < 2:
-        raise ValueError("sawtooth witnesses need n >= 2")
     M = 2 * n + 3
     th, va = sawtooth_breakpoints(n)
     tt, ww = gauss_panels(th, nodes_per_cell)

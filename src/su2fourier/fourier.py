@@ -116,6 +116,8 @@ class CentralFn:
         auto-built graded Weyl rule sized for n_max.  The closed form and each
         n_max bucket of the auto rule are cached; cached vectors are read-only.
         """
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
         if self.band_coeffs is not None:
             c = np.zeros(n_max + 1, dtype=self.band_coeffs.dtype)
             m = min(n_max + 1, len(self.band_coeffs))
@@ -360,6 +362,8 @@ def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
     the integral is summed per subinterval with a small Gauss rule each;
     accuracy is limited only by the one half-oscillation per subinterval.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     M = 2 * n + 3
     edges = np.concatenate(([0.0], 2 * np.pi * np.arange(1, n + 2) / M, [np.pi]))
     tt, ww = gauss_panels(edges, nodes_per_interval)

@@ -13,10 +13,10 @@ theta = arccos(Re a) in [0, pi] (the conjugacy angle).
 The metric is d(x, y) = sqrt(tr((x-y)(x-y)^*) / 2)
               = sqrt(2 - 2 Re(a_x conj(a_y) + b_x conj(b_y))),
 which is invariant under left and right translation.  Lie-algebra vectors
-X = [[i c, beta], [-conj(beta), -i c]] carry the norm
-||X|| = sqrt(c^2 + |beta|^2) = sqrt(tr(X X^*) / 2); with this pairing
-d(e, exp X) = 2 sin(||X||/2), so metric radii and Lie-algebra radii agree to
-first order.
+X = [[i c, beta], [-conj(beta), -i c]], given to ``exp_arrays`` as (c, beta)
+arrays, carry the norm ||X|| = sqrt(c^2 + |beta|^2) = sqrt(tr(X X^*) / 2);
+with this pairing d(e, exp X) = 2 sin(||X||/2), so metric radii and
+Lie-algebra radii agree to first order.
 
 Two integration rule types are provided, both normalized to total mass 1:
 
@@ -58,7 +58,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "GroupElement",
-    "LieVector",
     "WeylRule",
     "QuadratureRule",
     "IDENTITY",
@@ -67,7 +66,6 @@ __all__ = [
     "conj_angle_arrays",
     "metric_d",
     "metric_d_arrays",
-    "exp_map",
     "exp_arrays",
     "mul_arrays",
     "gauss_panels",
@@ -111,7 +109,7 @@ def make_element(a: complex, b: complex) -> GroupElement:
     Larger norm defects signal a caller bug and raise ValueError.
     """
     s = abs(a) ** 2 + abs(b) ** 2
-    if abs(s - 1.0) > _NORM_TOL:
+    if not abs(s - 1.0) <= _NORM_TOL:  # NaN fails this test too
         raise ValueError(f"(a, b) is not on the unit sphere: |a|^2+|b|^2 = {s!r}")
     r = np.sqrt(s)
     return GroupElement(complex(a) / r, complex(b) / r)
@@ -143,40 +141,12 @@ def mul_arrays(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-@dataclass(frozen=True)
-class LieVector:
-    """X = [[i c, beta], [-conj(beta), -i c]] in su(2)."""
-
-    c: float
-    beta: complex
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.c**2 + abs(self.beta) ** 2))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[1j * self.c, self.beta], [-np.conj(self.beta), -1j * self.c]],
-            dtype=complex,
-        )
-
-
-def exp_map(X: LieVector) -> GroupElement:
-    """Matrix exponential of X; eigenvalues of X are +-i||X||.
-
-    exp(X) = cos(||X||) I + (sin(||X||)/||X||) X, so
-    a = cos t + i c sinc, b = beta sinc with t = ||X||.
-    """
-    t = X.norm
-    if t == 0.0:
-        return IDENTITY
-    s = np.sin(t) / t
-    return GroupElement(complex(np.cos(t) + 1j * X.c * s), complex(X.beta * s))
-
-
 def exp_arrays(c: np.ndarray, beta: np.ndarray):
-    """Vectorized exp_map for arrays of (c, beta)."""
+    """exp(X) for X = [[i c, beta], [-conj(beta), -i c]], as (a, b) arrays.
+
+    X has eigenvalues +-i||X||, so exp(X) = cos(t) I + (sin(t)/t) X with
+    t = ||X||: a = cos t + i c sin(t)/t, b = beta sin(t)/t.
+    """
     t = np.sqrt(c**2 + np.abs(beta) ** 2)
     s = np.sinc(t / np.pi)  # sin(t)/t, exact 1 at t = 0
     return np.cos(t) + 1j * c * s, beta * s

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from su2fourier import cli, convergence, divergence, fourier, group, representations
 from su2fourier.cli import parse_central_fn, parse_int_list, run
 
 
@@ -166,11 +167,23 @@ def test_usage_error_exit_code(capsys):
         ["modulus", "--t-min", "2", "--t-max", "1"],
         ["dini", "--t-min-list", "0"],
         ["kernel-check", "--n-max", "-1"],
+        ["uniform-central", "--n", "-1"],
+        ["rm-sum", "--fn", "holder:0.5", "--j", "-1"],
+        ["rm-sum", "--j", "-1"],
+        ["jackson", "--k", "-2"],
+        ["lebesgue", "--n=-1,-2"],
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("su2fourier: ")
+
+
+@pytest.mark.parametrize(
+    "module", [group, representations, fourier, divergence, convergence, cli]
+)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -37,10 +37,13 @@ def test_sawtooth_breakpoint_pattern():
     assert th[-1] == np.pi and va[-1] == 0.0
 
 
-def test_sawtooth_rejects_small_n():
+@pytest.mark.parametrize(
+    "entry", [sawtooth, sawtooth_normalized, functional_split, verify_chain]
+)
+def test_sawtooth_rejects_small_n(entry):
     for n in (0, 1, -3):
-        with pytest.raises(ValueError):
-            sawtooth(n)
+        with pytest.raises(ValueError, match="sawtooth witnesses need n >= 2"):
+            entry(n)
 
 
 def test_sawtooth_bounded_by_one():
