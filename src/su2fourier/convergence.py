@@ -22,6 +22,8 @@ angle of the translation), which anchors the general 3D quadrature path.
 That path draws each radius's directions in one batch, evaluates f on the Haar
 rule once per ``integral_modulus`` or ``modulus_profile`` call, and evaluates
 one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
+Translates compose, so for f = L_z g with g central that is one class-angle
+pass of (z h^{-1}) y per direction, with no group product on the grid.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 

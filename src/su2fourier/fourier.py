@@ -15,7 +15,9 @@ For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  All F_n up to
 n_max come from one pass over the Euler tensor rule in beta slabs, which
 evaluates f once per node; the integral modulus in ``convergence`` likewise
 evaluates f on its rule once per call.  A left translate of a central f
-forms only the class angle of z y, not the whole product.
+forms only the class angle of z y, not the whole product, and translates
+compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
+as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -186,42 +188,61 @@ def from_breakpoints(theta, values, name: str = "pl") -> CentralFn:
     )
 
 
-def left_translate(f, z: GroupElement):
-    """(L_z f)(y) = f(z y) as a batch callable on (a, b) arrays.
+@dataclass(frozen=True, eq=False)
+class _Translate:
+    """(L_z f)(y) = f(z y) for a CentralFn or batch callable f on (a, b) arrays.
 
     A central f sees only the class angle of z y, which needs only the a-entry
     of the product, so the b-entry is never formed.
     """
-    if isinstance(f, CentralFn):
 
-        def translated(a, b):
+    f: object
+    z: GroupElement
+
+    def __call__(self, a, b):
+        f, z = self.f, self.z
+        if isinstance(f, CentralFn):
             return f.on_group(z.a * a - z.b * np.conj(b), None)
+        return f(*mul_arrays(z.a, z.b, a, b))
 
-    else:
 
-        def translated(a, b):
-            return f(*mul_arrays(z.a, z.b, a, b))
+def left_translate(f, z: GroupElement):
+    """(L_z f)(y) = f(z y) as a batch callable on (a, b) arrays.
 
-    return translated
+    Translates compose: L_g (L_z f) = L_{z g} f, so a translate of a translate
+    holds the one element z g and evaluates like a single translate of f (for
+    a central f, one class-angle pass and no group product).
+    """
+    if isinstance(f, _Translate):
+        return _Translate(f.f, f.z * z)
+    return _Translate(f, z)
 
 
 # --------------------------------------------------------------------------
 # closed-form segment integrals for piecewise-linear profiles
 # --------------------------------------------------------------------------
 
+_MOMENT_BLOCK = 256  # values of k per block: bounds a block to 256 x segments
+
+
 def _pl_cos_moments(th, va, kmax):
-    """I_k = int_0^pi g cos(k theta) d(theta), k = 0..kmax, g piecewise linear."""
+    """I_k = int_0^pi g cos(k theta) d(theta), k = 0..kmax, g piecewise linear.
+
+    The k run in blocks; each row's sum over segments does not depend on how
+    many rows its block holds, so the blocks round exactly as one array would.
+    """
     t0, t1 = th[:-1], th[1:]
     v0, v1 = va[:-1], va[1:]
     slope = (v1 - v0) / (t1 - t0)
     I = np.empty(kmax + 1)
     I[0] = float(np.sum(0.5 * (v0 + v1) * (t1 - t0)))
-    if kmax >= 1:
-        ks = np.arange(1, kmax + 1)[:, None]
+    for lo in range(1, kmax + 1, _MOMENT_BLOCK):
+        hi = min(lo + _MOMENT_BLOCK, kmax + 1)
+        ks = np.arange(lo, hi)[:, None]
         seg = (v1 * np.sin(ks * t1) - v0 * np.sin(ks * t0)) / ks + slope * (
             np.cos(ks * t1) - np.cos(ks * t0)
         ) / ks**2
-        I[1:] = seg.sum(axis=1)
+        I[lo:hi] = seg.sum(axis=1)
     return I
 
 
@@ -379,14 +400,15 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     """sum_{n in truncation_set(mode, N)} c_n chi_n(theta).
 
     Spherical mode at order N uses the members {0..N+1} and therefore equals
-    the polyhedral sum at N+1 coefficient-by-coefficient.
+    the polyhedral sum at N+1 coefficient-by-coefficient.  Every SU(2)
+    truncation set is a contiguous index range, so the sum runs over slices.
     """
     tset = truncation_set(mode, N)
     c = f.coeffs(tset.max_index)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     table = char_table(tset.max_index, th)
-    members = np.fromiter(tset.members, dtype=int)
-    out = c[members] @ table[members]
+    lo, hi = tset.members[0], tset.max_index + 1
+    out = c[lo:hi] @ table[lo:hi]
     return out[0] if np.ndim(theta) == 0 else out
 
 

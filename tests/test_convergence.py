@@ -9,11 +9,12 @@ from su2fourier.group import (
     conj_angle,
     exp_arrays,
     haar_grid,
+    mul_arrays,
     random_elements,
     random_directions,
     weyl_grid,
 )
-from su2fourier.fourier import band_limited_fn, char_fn, const_fn, left_translate
+from su2fourier.fourier import CentralFn, band_limited_fn, char_fn, const_fn, left_translate
 from su2fourier.divergence import sawtooth
 from su2fourier.convergence import (
     ModulusProfile,
@@ -191,6 +192,33 @@ def test_integral_modulus_general_is_max_of_translate_norms():
         for h in _sampled_translations(directions, r, count)
     )
     assert integral_modulus(fz, t, sample_count=count, seed=seed, rule=rule) == want
+
+
+def _nested_translate(f, z):
+    # a translate that does not compose: L_g of it forms g y, then z (g y)
+    fg = f.on_group if isinstance(f, CentralFn) else f
+    return lambda a, b: fg(*mul_arrays(z.a, z.b, a, b))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.1])
+def test_integral_modulus_of_composed_translate_matches_nested(t):
+    # translating L_z f by h^{-1} composes to L_{z h^{-1}} f, which changes the
+    # modulus only by rounding against the translate-of-a-translate it replaces
+    rng = np.random.default_rng(23)
+    f, z = holder_test_function(0.5), random_element(rng)
+    rule = haar_grid(24)
+    count, seed = 3, 6
+    a, b = rule.element_arrays()
+    fz = _nested_translate(f, z)
+    base = fz(a, b)
+    directions = np.random.default_rng(seed)
+    want = max(
+        float(np.sqrt(np.real(rule.integrate(np.abs(base - _nested_translate(fz, h.inverse())(a, b)) ** 2))))
+        for r in t * np.array([1.0, 0.5, 0.25])
+        for h in _sampled_translations(directions, r, count)
+    )
+    got = integral_modulus(left_translate(f, z), t, sample_count=count, seed=seed, rule=rule)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_modulus_profile_general_matches_translate_norms():

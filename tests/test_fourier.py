@@ -1,7 +1,10 @@
 """Coefficients, Dirichlet kernels, partial sums, Lebesgue constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2fourier.group import (
     GroupElement,
@@ -13,11 +16,15 @@ from su2fourier.group import (
 )
 from su2fourier.representations import (
     char_eval,
+    char_table,
     pole_safe,
     repr_matrices,
     repr_matrix,
+    truncation_set,
 )
 from su2fourier.fourier import (
+    CentralFn,
+    _pl_cos_moments,
     _quadrature_coeffs,
     band_limited_fn,
     char_fn,
@@ -61,8 +68,6 @@ def test_coeff_central_constant():
 def test_coeff_central_cosine():
     # cos(theta) = chi_1 / 2
     rule = weyl_grid(8)
-    from su2fourier.fourier import CentralFn
-
     f = CentralFn(fn=np.cos, name="cos")
     assert _quadrature_coeffs(f, 1, rule)[1] == pytest.approx(0.5, abs=1e-13)
     for n in (0, 2, 3):
@@ -88,6 +93,41 @@ def test_pl_coeffs_quadrature_vs_closed_form(n):
     exact = f.coeffs(n + 4)
     quad = _quadrature_coeffs(f, n + 4, rule)
     assert np.abs(exact - quad).max() < 1e-10
+
+
+def _pl_cos_moments_unblocked(th, va, kmax):
+    # the moments with every k in one (kmax, segments) array
+    t0, t1 = th[:-1], th[1:]
+    v0, v1 = va[:-1], va[1:]
+    slope = (v1 - v0) / (t1 - t0)
+    I = np.empty(kmax + 1)
+    I[0] = float(np.sum(0.5 * (v0 + v1) * (t1 - t0)))
+    if kmax >= 1:
+        ks = np.arange(1, kmax + 1)[:, None]
+        seg = (v1 * np.sin(ks * t1) - v0 * np.sin(ks * t0)) / ks + slope * (
+            np.cos(ks * t1) - np.cos(ks * t0)
+        ) / ks**2
+        I[1:] = seg.sum(axis=1)
+    return I
+
+
+@pytest.mark.parametrize("n", [2, 9, 300, 2048])
+def test_pl_cos_moments_blocked_is_bitwise_unblocked(n):
+    th, va = sawtooth_breakpoints(n)
+    for kmax in sorted({0, 1, 255, 256, 257, n + 2}):
+        assert np.array_equal(_pl_cos_moments(th, va, kmax), _pl_cos_moments_unblocked(th, va, kmax))
+
+
+def test_pl_cos_moments_memory_is_bounded():
+    # unblocked, this size peaks above 500 MiB
+    th, va = sawtooth_breakpoints(4096)
+    tracemalloc.start()
+    try:
+        _pl_cos_moments(th, va, 4098)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_parseval_band_limited():
@@ -200,6 +240,56 @@ def test_left_translate_central_matches_group_product():
     for f in (sawtooth(6), sqrt_shift_fn(), band_limited_fn(np.array([0.2, -1.0, 0.5j]))):
         want = f.on_group(*mul_arrays(z.a, z.b, a, b))
         assert np.array_equal(left_translate(f, z)(a, b), want)
+
+
+def _normalized(q):
+    r = np.sqrt(sum(c * c for c in q))
+    return GroupElement(complex(q[0], q[1]) / r, complex(q[2], q[3]) / r)
+
+
+# unit quaternions from the cube [-1, 1]^4, poles and axis points included
+elements = (
+    st.tuples(*[st.floats(-1, 1)] * 4)
+    .filter(lambda q: sum(c * c for c in q) > 1e-2)
+    .map(_normalized)
+)
+
+_RE_A_SLACK = 4 * np.finfo(float).eps  # composition moves Re a by <= 1.5 eps (measured)
+
+
+def _central_envelope(f, re_a):
+    # the class angle arccos(Re a) amplifies a change of Re a by 1/sin(theta),
+    # and a cusp of the profile amplifies it again: the largest change of f
+    # when Re a moves by _RE_A_SLACK
+    base = f(np.arccos(np.clip(re_a, -1.0, 1.0)))
+    lo, hi = (f(np.arccos(np.clip(re_a + s, -1.0, 1.0))) for s in (-_RE_A_SLACK, _RE_A_SLACK))
+    return np.maximum(np.abs(lo - base), np.abs(hi - base))
+
+
+@settings(deadline=None)
+@given(z=elements, g=elements, seed=st.integers(0, 2**32 - 1))
+def test_left_translate_composes(z, g, seed):
+    # L_g (L_z f) = L_{z g} f: the composed translate evaluates f at (z g) y,
+    # which differs from z (g y) only by rounding
+    a, b = random_elements(np.random.default_rng(seed), 64)
+    central = (sawtooth(6), sqrt_shift_fn(), band_limited_fn(np.array([0.2, -1.0, 0.5j])))
+    for f in central + (lambda a, b: a * np.conj(b) + b**2 - 0.3 * a,):
+        got = left_translate(left_translate(f, z), g)(a, b)
+        ya, yb = mul_arrays(z.a, z.b, *mul_arrays(g.a, g.b, a, b))
+        if isinstance(f, CentralFn):
+            want, slack = f.on_group(ya, yb), _central_envelope(f, np.real(ya))
+        else:
+            want, slack = f(ya, yb), 0.0
+        assert np.all(np.abs(got - want) <= 1e-14 + slack)
+
+
+def test_left_translate_triple_composition_carries_the_product():
+    rng = np.random.default_rng(12)
+    z, g, h = (random_element(rng) for _ in range(3))
+    a, b = random_elements(rng, 200)
+    for f in (sawtooth(5), lambda a, b: a * b - np.conj(a)):
+        triple = left_translate(left_translate(left_translate(f, z), g), h)
+        assert np.array_equal(triple(a, b), left_translate(f, z * g * h)(a, b))
 
 
 def test_block_energies_match_frobenius():
@@ -349,6 +439,20 @@ def test_partial_sum_reproduces_band_limited():
     got = partial_sum_central(f, 2, "polyhedral", th)
     assert np.abs(got - char_eval(2, th)).max() < 1e-12
     assert np.abs(partial_sum_central(f, 1, "polyhedral", th)).max() == 0.0
+
+
+@pytest.mark.parametrize("mode", ["polyhedral", "spherical"])
+def test_partial_sum_central_slice_equals_gather(mode):
+    # truncation sets are contiguous, so slicing sums exactly what gathering
+    # the members would
+    f = sawtooth(7)
+    th = np.linspace(0.0, np.pi, 301)
+    for N in (0, 1, 2, 64, 256, 1024, 4096):
+        tset = truncation_set(mode, N)
+        c = f.coeffs(tset.max_index)
+        table = char_table(tset.max_index, th)
+        members = np.fromiter(tset.members, dtype=int)
+        assert np.array_equal(partial_sum_central(f, N, mode, th), c[members] @ table[members])
 
 
 def test_partial_sum_convolution_oracle():
