@@ -13,11 +13,15 @@ with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
 For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  All F_n up to
 n_max come from one pass over the Euler tensor rule in beta slabs, which
-evaluates f once per node; the integral modulus in ``convergence`` likewise
-evaluates f on its rule once per call.  A left translate of a central f
-forms only the class angle of z y, not the whole product, and translates
-compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
-as one.
+evaluates f once per node.  A central f, or a left translate of one, reads
+Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from two
+real (alpha, gamma) planes built once per pass, and a real slab enters the
+gamma transform as one real matrix product against the interleaved real and
+imaginary parts of the transform matrix.  The integral modulus in
+``convergence`` likewise evaluates f on its rule once per call.  Called on
+(a, b) arrays, a left translate of a central f forms only the class angle
+of z y, not the whole product, and translates compose (L_g L_z f =
+L_{z g} f), so a translate of a translate is evaluated as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -45,6 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .group import (
+    IDENTITY,
     GroupElement,
     QuadratureRule,
     WeylRule,
@@ -412,6 +417,27 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     return out[0] if np.ndim(theta) == 0 else out
 
 
+def _class_angle_planes(f, al, ga):
+    """(profile, P, Q) with Re (z y)_a = cos(beta/2) P + sin(beta/2) Q on the grid.
+
+    For y with a = cos(beta/2) e^{i(alpha+gamma)/2}, b = sin(beta/2)
+    e^{i(alpha-gamma)/2}, the a-entry z.a a - z.b conj(b) has the real part
+    cos(beta/2) Re(z.a e^{i(alpha+gamma)/2}) - sin(beta/2) Re(z.b
+    e^{-i(alpha-gamma)/2}): two real (alpha, gamma) planes serve every beta.
+    A CentralFn is its own translate by z = identity; any f that is neither
+    a CentralFn nor a translate of one gives None.
+    """
+    if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
+        g, z = f.f, f.z
+    elif isinstance(f, CentralFn):
+        g, z = f, IDENTITY
+    else:
+        return None
+    P = np.real(z.a * np.exp(1j * ((al[:, None] + ga[None, :]) / 2)))
+    Q = -np.real(z.b * np.exp(-1j * ((al[:, None] - ga[None, :]) / 2)))
+    return g.fn, P, Q
+
+
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     """All F_k = int f(x) pi_k(x)^* d(mu)(x) for k = 0..n_max in one pass.
 
@@ -420,27 +446,50 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     With pi_k[q, p] = e^{i alpha (k-2q)/2} d_k(beta)[q, p] e^{i gamma (k-2p)/2},
     F_k[p, q] = sum over the grid of w f conj(pi_k[q, p]), so the alpha
     transform carries the q-frequencies and the gamma transform the
-    p-frequencies.  The grid is streamed in beta slabs to bound memory: the
-    Euler phases e^{i (alpha +- gamma)/2} are built once, each slab scales
-    them by cos(beta/2) and sin(beta/2), and its two transforms are matrix
-    products, Y[beta] = E_alpha @ f(slab) @ E_gamma (Kostelec & Rockmore,
-    FFTs on the rotation group, JFAA 2008).  A weighted beta sum against
-    d_k then gives each F_k.
+    p-frequencies.  The grid is streamed in beta slabs to bound memory, and
+    each slab's two transforms are matrix products, Y[beta] = E_alpha @
+    f(slab) @ E_gamma (Kostelec & Rockmore, FFTs on the rotation group, JFAA
+    2008).  A weighted beta sum against d_k then gives each F_k.
+
+    A CentralFn, or a left translate of one, reads only Re of the a-entry of
+    z y, which on slab beta is cos(beta/2) P + sin(beta/2) Q for two real
+    (alpha, gamma) planes built once per call; its slabs form no complex
+    (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
+    Euler phases e^{i (alpha +- gamma)/2}, built once and scaled by
+    cos(beta/2) and sin(beta/2).  A real slab multiplies E_gamma as one real
+    matrix product against its interleaved real and imaginary parts.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")
-    fg = f.on_group if isinstance(f, CentralFn) else f
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     al, be, wb, ga = rule.alpha, rule.beta, rule.w_beta, rule.gamma
     freqs = np.arange(-n_max, n_max + 1)
     Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
     Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
-    phase_sum = np.exp(1j * ((al[:, None] + ga[None, :]) / 2))
-    phase_dif = np.exp(1j * ((al[:, None] - ga[None, :]) / 2))
+    Eg_real = Eg.view(float)  # [gamma, (re, im) of each nu]
     cb, sb = np.cos(be / 2), np.sin(be / 2)
+    planes = _class_angle_planes(f, al, ga)
+    if planes is None:
+        phase_sum = np.exp(1j * ((al[:, None] + ga[None, :]) / 2))
+        phase_dif = np.exp(1j * ((al[:, None] - ga[None, :]) / 2))
+
+        def slab(ib):
+            return np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif))
+
+    else:
+        profile, P, Q = planes
+
+        def slab(ib):
+            return np.asarray(profile(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None)))
+
     Y = np.empty((len(be), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
     for ib in range(len(be)):
-        vals = np.asarray(fg(cb[ib] * phase_sum, sb[ib] * phase_dif))
-        Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
+        vals = slab(ib)
+        if np.iscomplexobj(vals):
+            Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
+        else:
+            Y[ib] = Ea @ (vals @ Eg_real).view(complex)
     out = []
     for k, d in enumerate(repr_matrices(n_max, cb, sb)):
         idx = euler_diag_freqs(k) + n_max

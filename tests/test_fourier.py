@@ -39,7 +39,7 @@ from su2fourier.fourier import (
     partial_sum_central,
     partial_sum_general,
 )
-from su2fourier.convergence import sqrt_shift_fn
+from su2fourier.convergence import holder_test_function, sqrt_shift_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints
 
 
@@ -229,6 +229,49 @@ def test_matrix_coeffs_beta_slabs_match_oracle_general_complex():
 def test_matrix_coeffs_rejects_non_euler_rule():
     with pytest.raises(ValueError, match="matrix coefficients need"):
         matrix_coeffs(sawtooth(3), 2, weyl_grid(8))
+
+
+def test_matrix_coeffs_rejects_negative_n_max():
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        matrix_coeffs(sawtooth(3), -1, haar_grid(8))
+
+
+@pytest.mark.parametrize("order", [10, 16])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sawtooth(6),
+        lambda: holder_test_function(0.5),
+        lambda: band_limited_fn(np.array([0.2, -1.0, 0.5j, 0.3 - 0.1j])),
+    ],
+    ids=["sawtooth", "holder", "complex-band"],
+)
+def test_matrix_coeffs_translated_central_matches_oracle(make, order):
+    # the class-angle planes of a translate against the oracle, which forms
+    # the a-entry of z y node by node
+    rule = haar_grid(order)
+    f = make()
+    a, b = random_elements(np.random.default_rng(21), 3)
+    for za, zb in zip(a, b):
+        g = left_translate(f, GroupElement(complex(za), complex(zb)))
+        fast = matrix_coeffs(g, 4, rule)
+        for k, slow in enumerate(_matrix_coeffs_oracle(g, 4, rule)):
+            assert np.abs(fast[k] - slow).max() < 1e-13
+
+
+def test_matrix_coeffs_real_slabs_match_complex_slabs():
+    # the real matrix product of a real slab against the complex one of the
+    # same values carried as complex
+    rule = haar_grid(16)
+
+    def f(a, b):
+        return np.real(a * np.conj(b) + b**2) - 0.3 * a.imag + np.abs(a) ** 3
+
+    real = matrix_coeffs(f, 8, rule)
+    cplx = matrix_coeffs(lambda a, b: f(a, b) + 0j, 8, rule)
+    scale = max(np.abs(F).max() for F in cplx)
+    for R, C in zip(real, cplx):
+        assert np.abs(R - C).max() <= 1e-15 * scale
 
 
 def test_left_translate_central_matches_group_product():
