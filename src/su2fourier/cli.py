@@ -79,17 +79,24 @@ class RunConfig:
 # parsing helpers
 # --------------------------------------------------------------------------
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
+
+
 def parse_int_list(text: str) -> list[int]:
-    """"1,10,100" or "2..64" (inclusive range)."""
+    """"1,10,100" or "2..64" (inclusive range); an empty result is a usage error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(p) for p in text.split(",") if p], text)
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+    """"0.01,0.001"; an empty result is a usage error."""
+    return _nonempty([float(p) for p in text.split(",") if p], text)
 
 
 def parse_central_fn(spec: str) -> CentralFn:

@@ -36,9 +36,13 @@ Partial sums are computed in coefficient space (exact for band-limited
 inputs); kernel convolution survives only as a test oracle.  Coefficients of
 a piecewise-linear central function are also available in closed form (the
 integrals of (linear) x cos(k theta) per segment), which anchors the
-quadrature path.  Computed coefficient vectors are cached per function and
-coefficient path, read-only; populate caches single-threaded before any
-parallel read.
+quadrature path.  Quadrature coefficients split each index as n = bB + k and
+use the Chebyshev addition formula U_{bB+k} = U_k U_{bB} - U_{k-1} U_{bB-1},
+so a chunk of nodes costs B + 1 recurrence rows and two real matrix products
+instead of one row per index; the one-row-per-index table survives only as a
+test oracle.  Computed coefficient vectors are cached per function and
+coefficient path (the auto rule fills a whole bucket of indices per miss),
+read-only; populate caches single-threaded before any parallel read.
 """
 
 from __future__ import annotations
@@ -120,8 +124,11 @@ class CentralFn:
 
         Band-limited functions return their stored vector, breakpoint
         functions the closed form, anything else the quadrature on an
-        auto-built graded Weyl rule sized for n_max.  The closed form and each
-        n_max bucket of the auto rule are cached; cached vectors are read-only.
+        auto-built graded Weyl rule sized for a bucket of 256 indices.  A miss
+        on a bucket fills the whole bucket at once (``_quadrature_coeffs``,
+        blocked by the Chebyshev addition formula), so every n_max in it reads
+        a prefix of one vector, whatever was asked before.  The closed form
+        and each bucket are cached; cached vectors are read-only.
         """
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -142,10 +149,10 @@ class CentralFn:
             c = _pl_coeffs(*self.breakpoints, n_max)
         else:
             rule = weyl_grid(order=key[1] // 2 + 8, cusps=self.cusps)
-            c = _quadrature_coeffs(self, n_max, rule)
+            c = _quadrature_coeffs(self, key[1] - 1, rule)
         c.flags.writeable = False
         self._cache[key] = c
-        return c
+        return c[: n_max + 1]
 
     def l2_norm_sq(self) -> float:
         """Exact closed forms where available, graded quadrature otherwise."""
@@ -284,15 +291,46 @@ def _pl_norm_sq(th, va):
     return float(np.sum(plain - osc) / np.pi)
 
 
+_COEFF_BLOCK = 64  # B: coefficients per block of the addition formula
+_COEFF_CHUNK_ENTRIES = 2**21  # table entries per node chunk, about 16 MiB
+
+
 def _quadrature_coeffs(f: CentralFn, n_max: int, rule: WeylRule) -> np.ndarray:
-    fw = np.asarray(f.fn(rule.nodes)) * rule.weights
-    # chunk over nodes: the (n_max+1, nodes) character table can get large
-    chunk = max(1, 8_000_000 // (n_max + 1))
-    c = np.zeros(n_max + 1, dtype=fw.dtype)
-    for lo in range(0, len(fw), chunk):
-        sl = slice(lo, lo + chunk)
-        c += char_table(n_max, rule.nodes[sl]) @ fw[sl]
-    return c
+    """c_n = sum_j g_j U_n(cos theta_j) with g_j = w_j f(theta_j), n = 0..n_max.
+
+    With B = _COEFF_BLOCK and n = bB + k (0 <= k < B), the addition formula
+    U_{m+n} = U_m U_n - U_{m-1} U_{n-1} (Mason & Handscomb, Chebyshev
+    Polynomials, 2003) splits each coefficient as
+
+        c_{bB+k} = sum_j U_k [g_j U_{bB}] - sum_j U_{k-1} [g_j U_{bB-1}],
+
+    so a chunk of nodes costs one ``char_table(B, .)`` for the rows U_0..U_B
+    and two real (B x nodes) @ (nodes x blocks) matrix products.  The seed
+    rows S_b = U_{bB}, T_b = U_{bB-1} come from the step (S, T) <- (U_B S -
+    U_{B-1} T, U_{B-1} S - U_{B-2} T), whose matrix has determinant 1 and
+    eigenvalues e^{+-i B theta}, stable like the recurrence itself.  The nodes
+    run in chunks of about _COEFF_CHUNK_ENTRIES table entries, and the real
+    and imaginary parts of a complex profile enter the products as columns.
+    """
+    g = np.asarray(f.fn(rule.nodes)) * rule.weights
+    parts = np.stack((g.real, g.imag)) if np.iscomplexobj(g) else g[None]
+    B, nb = _COEFF_BLOCK, n_max // _COEFF_BLOCK + 1
+    chunk = max(1, _COEFF_CHUNK_ENTRIES // (B + 1 + 2 * (1 + len(parts)) * nb))
+    acc = np.zeros((B, len(parts) * nb))
+    for lo in range(0, len(g), chunk):
+        U = char_table(B, rule.nodes[lo : lo + chunk])
+        S = np.empty((nb, U.shape[1]))
+        T = np.empty_like(S)
+        S[0], T[0] = 1.0, 0.0
+        for b in range(1, nb):
+            S[b] = U[B] * S[b - 1] - U[B - 1] * T[b - 1]
+            T[b] = U[B - 1] * S[b - 1] - U[B - 2] * T[b - 1]
+        p = parts[:, None, lo : lo + chunk]  # [part, block, node] after broadcast
+        acc += U[:B] @ (p * S).reshape(-1, S.shape[1]).T
+        acc[1:] -= U[: B - 1] @ (p * T).reshape(-1, T.shape[1]).T
+    c = acc.reshape(B, len(parts), nb).transpose(1, 2, 0).reshape(len(parts), -1)
+    c = c[0] + 1j * c[1] if len(parts) == 2 else c[0]
+    return c[: n_max + 1]
 
 
 # --------------------------------------------------------------------------

@@ -180,6 +180,23 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["lebesgue", "--n", "5..2"],
+        ["chain", "--n", ""],
+        ["uniform-central", "--n", ""],
+        ["rm-sum", "--j", ""],
+        ["dini", "--t-min-list", ""],
+    ],
+)
+def test_empty_list_argument_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[1]}: empty list" in err
+
+
+@pytest.mark.parametrize(
     "module", [group, representations, fourier, divergence, convergence, cli]
 )
 def test_every_exported_name_resolves(module):

@@ -23,6 +23,7 @@ from su2fourier.representations import (
     truncation_set,
 )
 from su2fourier.fourier import (
+    _COEFF_BLOCK,
     CentralFn,
     _pl_cos_moments,
     _quadrature_coeffs,
@@ -72,6 +73,72 @@ def test_coeff_central_cosine():
     assert _quadrature_coeffs(f, 1, rule)[1] == pytest.approx(0.5, abs=1e-13)
     for n in (0, 2, 3):
         assert _quadrature_coeffs(f, n, rule)[n] == pytest.approx(0.0, abs=1e-13)
+
+
+def _auto_rule(f, n_max):
+    # the graded rule CentralFn.coeffs builds for n_max's bucket of 256
+    bucket = 256 * -(-(n_max + 1) // 256)
+    return weyl_grid(order=bucket // 2 + 8, cusps=f.cusps)
+
+
+def _row_oracle(n_max, nodes, g):
+    # char_table(n_max, nodes) @ g, in node chunks to bound the table
+    return sum(char_table(n_max, nodes[lo : lo + 1024]) @ g[lo : lo + 1024]
+               for lo in range(0, len(nodes), 1024))
+
+
+@pytest.mark.parametrize("make", [lambda: holder_test_function(0.5), sqrt_shift_fn],
+                         ids=["holder:0.5", "sqrtshift"])
+@pytest.mark.parametrize("phase", [1.0, 1.0 - 0.5j], ids=["real", "complex"])
+def test_quadrature_coeffs_match_row_oracle(make, phase):
+    # the blocked addition-formula kernel against one Chebyshev row per index
+    h = make()
+    f = CentralFn(fn=lambda th: phase * h.fn(th), cusps=h.cusps)
+    rule = _auto_rule(f, 4096)
+    want = _row_oracle(4096, rule.nodes, f.fn(rule.nodes) * rule.weights)
+    B = _COEFF_BLOCK
+    for n_max in (0, 1, B - 1, B, B + 1, 4096):
+        got = _quadrature_coeffs(f, n_max, rule)
+        assert got.shape == (n_max + 1,) and np.iscomplexobj(got) == (phase != 1.0)
+        assert np.abs(got - want[: n_max + 1]).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_quadrature_coeffs_match_extended_precision():
+    # the same nodes and values, U_n(cos theta) recurred in np.longdouble
+    f = holder_test_function(0.5)
+    rule = _auto_rule(f, 1024)
+    g = f.fn(rule.nodes) * rule.weights
+    x2 = 2 * np.cos(rule.nodes).astype(np.longdouble)
+    gl = g.astype(np.longdouble)
+    prev, cur = np.zeros_like(x2), np.ones_like(x2)
+    want = np.empty(1025, dtype=np.longdouble)
+    for n in range(1025):
+        want[n] = np.sum(gl * cur)
+        prev, cur = cur, x2 * cur - prev
+    got = _quadrature_coeffs(f, 1024, rule)
+    assert float(np.abs(got - want).max()) <= 1e-14 * float(np.abs(want).max())
+
+
+def test_coeffs_do_not_depend_on_cache_history():
+    # a bucket is filled whole on its first miss, whichever n_max comes first
+    warm = sqrt_shift_fn()
+    warm.coeffs(4000)
+    assert np.array_equal(warm.coeffs(3900), sqrt_shift_fn().coeffs(3900))
+    assert np.array_equal(sqrt_shift_fn().coeffs(64), sqrt_shift_fn().coeffs(128)[:65])
+
+
+@pytest.mark.parametrize("n_max, limit_mib", [(4096, 32), (16383, 64)])
+def test_quadrature_coeffs_memory_is_bounded(n_max, limit_mib):
+    # node chunks bound the tables to about 16 MiB whatever n_max is
+    f = holder_test_function(0.5)
+    rule = _auto_rule(f, n_max)
+    tracemalloc.start()
+    try:
+        _quadrature_coeffs(f, n_max, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 @pytest.mark.parametrize("make", [sqrt_shift_fn, lambda: sawtooth(5)], ids=["auto", "exact"])
