@@ -48,7 +48,6 @@ from .divergence import (
     divergence_table,
     functional_split,
     holder_bound,
-    holder_quotient_estimate,
     partial_sum_at_identity,
     sawtooth,
     sawtooth_normalized,

@@ -19,11 +19,13 @@ For central f the translate difference has the exact coefficient form
 
 independent of the direction of X (class functions only see the conjugacy
 angle of the translation), which anchors the general 3D quadrature path.
-That path draws each radius's directions in one batch, evaluates f on the Haar
-rule once per ``integral_modulus`` or ``modulus_profile`` call, and evaluates
-one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
-Translates compose, so for f = L_z g with g central that is one class-angle
-pass of (z h^{-1}) y per direction, with no group product on the grid.
+That path draws each radius's directions in one batch and streams the beta
+slabs of the Haar rule through ``fourier._euler_slabs``, the evaluator behind
+``matrix_coeffs``: f once per ``integral_modulus`` or ``modulus_profile``
+call, and one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per
+sampled direction.  Translates compose, so for f = L_z g with g central that
+is one class-angle pass of (z h^{-1}) y per direction, read from two real
+planes, with no group product and no element arrays on the grid.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -41,7 +43,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import CentralFn, left_translate, partial_sum_central
+from .fourier import CentralFn, _euler_slabs, left_translate, partial_sum_central
 from .representations import char_table
 
 __all__ = [
@@ -82,18 +84,22 @@ def _translations(rng: np.random.Generator, r: float, count: int) -> list:
 def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     """||delta_h f||_{L^2} over the Haar rule for each h in hs.
 
-    f itself is evaluated on the rule once; only the translates f(h^{-1} x)
-    are evaluated per h.
+    f and each translate f(h^{-1} x) stream through the beta slabs of
+    ``_euler_slabs``; f itself is evaluated once per slab, and each squared
+    norm is the beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
-    fg = f.on_group if isinstance(f, CentralFn) else f
-    a, b = rule.element_arrays()
-    base = fg(a, b)
+    _, _, slab = _euler_slabs(f, rule)
+    base = [slab(ib) for ib in range(len(rule.beta))]
+    per_slab = len(rule.alpha) * len(rule.gamma)
     norms = []
     for h in hs:
-        vals = base - left_translate(f, h.inverse())(a, b)
-        norms.append(float(np.sqrt(np.real(rule.integrate(np.abs(vals) ** 2)))))
+        _, _, moved = _euler_slabs(left_translate(f, h.inverse()), rule)
+        sq = 0.0
+        for ib, w in enumerate(rule.w_beta):
+            sq += w * np.sum(np.abs(base[ib] - moved(ib)) ** 2)
+        norms.append(float(np.sqrt(sq / per_slab)))
     return norms
 
 

@@ -37,8 +37,8 @@ stay within +-pi/(2n+3),
 
 giving the quotient bound ``holder_bound(n, alpha)`` <= pi, uniformly in n.
 The functional-norm growth is scale invariant, so either normalization
-witnesses divergence; the quotient machinery below reports the normalized
-family.
+witnesses divergence; ``holder_bound`` and ``verify_chain`` report the
+normalized family.
 
 ``verify_chain`` recomputes every link of this inequality chain numerically
 and reports signed margins.  All the integrals run on the exact breakpoint
@@ -57,16 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (
-    GroupElement,
-    QuadratureRule,
-    exp_arrays,
-    gauss_panels,
-    metric_d_arrays,
-    mul_arrays,
-    random_directions,
-    random_elements,
-)
+from .group import GroupElement, QuadratureRule, gauss_panels
 from .fourier import (
     CentralFn,
     classical_dirichlet,
@@ -81,7 +72,6 @@ __all__ = [
     "sawtooth_breakpoints",
     "sawtooth_normalized",
     "holder_bound",
-    "holder_quotient_estimate",
     "FunctionalSplit",
     "functional_split",
     "ChainReport",
@@ -133,35 +123,6 @@ def holder_bound(n, alpha):
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     return (np.pi / 2) ** alpha * (2 * np.pi / (2 * n + 3)) ** (1 - alpha)
-
-
-def holder_quotient_estimate(
-    f: CentralFn, alpha: float, sample_count: int = 10_000, seed: int = 0
-) -> float:
-    """max over sampled pairs of |f(x) - f(y)| / d(x, y)^alpha.
-
-    Pairs are x Haar-random and y = x exp(X) with ||X|| stratified over the
-    dyadic scales pi * 2^-j down to ~1e-6 (suprema of sawtooth-like
-    quotients live at small scales).  A lower bound for the true seminorm;
-    deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    radii = np.pi * 2.0 ** (-np.arange(22, dtype=float))
-    per = max(1, sample_count // len(radii))
-    best = 0.0
-    for r in radii:
-        ax, bx = random_elements(rng, per)
-        c, beta = random_directions(rng, per)
-        ah, bh = exp_arrays(r * c, r * beta)
-        ay, by = mul_arrays(ax, bx, ah, bh)
-        d = metric_d_arrays(ax, bx, ay, by)
-        fx = f.on_group(ax, bx)
-        fy = f.on_group(ay, by)
-        ok = d > 0
-        if ok.any():
-            q = np.abs(fx[ok] - fy[ok]) / d[ok] ** alpha
-            best = max(best, float(q.max()))
-    return best
 
 
 # --------------------------------------------------------------------------

@@ -11,17 +11,17 @@ General square-integrable functions carry matrix coefficients
 
 with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
-For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  All F_n up to
-n_max come from one pass over the Euler tensor rule in beta slabs, which
-evaluates f once per node.  A central f, or a left translate of one, reads
-Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from two
-real (alpha, gamma) planes built once per pass, and a real slab enters the
-gamma transform as one real matrix product against the interleaved real and
-imaginary parts of the transform matrix.  The integral modulus in
-``convergence`` likewise evaluates f on its rule once per call.  Called on
-(a, b) arrays, a left translate of a central f forms only the class angle
-of z y, not the whole product, and translates compose (L_g L_z f =
-L_{z g} f), so a translate of a translate is evaluated as one.
+For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  One
+evaluator, ``_euler_slabs``, turns a function into its values on the Euler
+tensor rule, one beta slab at a time; ``matrix_coeffs`` and the general
+integral modulus in ``convergence`` both stream its slabs, and neither
+builds the rule's flat element arrays.  A central f, or a left translate of
+one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q
+from two real (alpha, gamma) planes built once per call, and a real slab
+enters the gamma transform as one real matrix product against the
+interleaved real and imaginary parts of the transform matrix.  Translates
+compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
+as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -446,34 +446,43 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     the polyhedral sum at N+1 coefficient-by-coefficient.  Every SU(2)
     truncation set is a contiguous index range, so the sum runs over slices.
     """
-    tset = truncation_set(mode, N)
-    c = f.coeffs(tset.max_index)
+    r = truncation_set(mode, N)
+    c = f.coeffs(r[-1])
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    table = char_table(tset.max_index, th)
-    lo, hi = tset.members[0], tset.max_index + 1
-    out = c[lo:hi] @ table[lo:hi]
+    table = char_table(r[-1], th)
+    out = c[r[0] :] @ table[r[0] :]
     return out[0] if np.ndim(theta) == 0 else out
 
 
-def _class_angle_planes(f, al, ga):
-    """(profile, P, Q) with Re (z y)_a = cos(beta/2) P + sin(beta/2) Q on the grid.
+def _euler_slabs(f, rule: QuadratureRule):
+    """(cos(beta/2), sin(beta/2), slab) for f on the Euler tensor rule.
 
-    For y with a = cos(beta/2) e^{i(alpha+gamma)/2}, b = sin(beta/2)
-    e^{i(alpha-gamma)/2}, the a-entry z.a a - z.b conj(b) has the real part
-    cos(beta/2) Re(z.a e^{i(alpha+gamma)/2}) - sin(beta/2) Re(z.b
-    e^{-i(alpha-gamma)/2}): two real (alpha, gamma) planes serve every beta.
-    A CentralFn is its own translate by z = identity; any f that is neither
-    a CentralFn nor a translate of one gives None.
+    This is the package's one evaluation of a function on that rule, shared
+    by ``matrix_coeffs`` and the general modulus.  ``slab(ib)`` returns f on
+    beta slab ib as an (alpha, gamma) array.  On that slab y has
+    a = cos(beta/2) e^{i(alpha+gamma)/2} and b = sin(beta/2)
+    e^{i(alpha-gamma)/2}.  A CentralFn (its own translate by z = identity) or
+    a left translate of one reads Re of the a-entry z.a a - z.b conj(b) of
+    z y as cos(beta/2) P + sin(beta/2) Q with the two real (alpha, gamma)
+    planes P = Re(z.a e^{i(alpha+gamma)/2}) and Q = -Re(z.b
+    e^{-i(alpha-gamma)/2}), built once per call, so its slabs form no complex
+    (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
+    Euler phases e^{i (alpha +- gamma)/2}, built once and scaled by
+    cos(beta/2) and sin(beta/2).
     """
+    al, ga = rule.alpha[:, None], rule.gamma[None, :]
+    cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
     if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
         g, z = f.f, f.z
     elif isinstance(f, CentralFn):
         g, z = f, IDENTITY
     else:
-        return None
-    P = np.real(z.a * np.exp(1j * ((al[:, None] + ga[None, :]) / 2)))
-    Q = -np.real(z.b * np.exp(-1j * ((al[:, None] - ga[None, :]) / 2)))
-    return g.fn, P, Q
+        phase_sum = np.exp(1j * ((al + ga) / 2))
+        phase_dif = np.exp(1j * ((al - ga) / 2))
+        return cb, sb, lambda ib: np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif))
+    P = np.real(z.a * np.exp(1j * ((al + ga) / 2)))
+    Q = -np.real(z.b * np.exp(-1j * ((al - ga) / 2)))
+    return cb, sb, lambda ib: np.asarray(g.fn(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None)))
 
 
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
@@ -489,13 +498,10 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     f(slab) @ E_gamma (Kostelec & Rockmore, FFTs on the rotation group, JFAA
     2008).  A weighted beta sum against d_k then gives each F_k.
 
-    A CentralFn, or a left translate of one, reads only Re of the a-entry of
-    z y, which on slab beta is cos(beta/2) P + sin(beta/2) Q for two real
-    (alpha, gamma) planes built once per call; its slabs form no complex
-    (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
-    Euler phases e^{i (alpha +- gamma)/2}, built once and scaled by
-    cos(beta/2) and sin(beta/2).  A real slab multiplies E_gamma as one real
-    matrix product against its interleaved real and imaginary parts.
+    The slabs come from ``_euler_slabs``: two real (alpha, gamma) planes for
+    a CentralFn or a left translate of one, the Euler phases for any other
+    callable.  A real slab multiplies E_gamma as one real matrix product
+    against its interleaved real and imaginary parts.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")
@@ -506,21 +512,7 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
     Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
     Eg_real = Eg.view(float)  # [gamma, (re, im) of each nu]
-    cb, sb = np.cos(be / 2), np.sin(be / 2)
-    planes = _class_angle_planes(f, al, ga)
-    if planes is None:
-        phase_sum = np.exp(1j * ((al[:, None] + ga[None, :]) / 2))
-        phase_dif = np.exp(1j * ((al[:, None] - ga[None, :]) / 2))
-
-        def slab(ib):
-            return np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif))
-
-    else:
-        profile, P, Q = planes
-
-        def slab(ib):
-            return np.asarray(profile(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None)))
-
+    cb, sb, slab = _euler_slabs(f, rule)
     Y = np.empty((len(be), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
     for ib in range(len(be)):
         vals = slab(ib)
@@ -538,10 +530,10 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
 
 def partial_sum_general(f, N: int, mode: str, x: GroupElement, rule: QuadratureRule):
     """sum over the truncation set of (k+1) tr(F_k pi_k(x))."""
-    tset = truncation_set(mode, N)
-    F = matrix_coeffs(f, tset.max_index, rule)
+    r = truncation_set(mode, N)
+    F = matrix_coeffs(f, r[-1], rule)
     total = 0.0 + 0.0j
-    for k, Pi in enumerate(repr_matrices(tset.max_index, x.a, x.b)):
-        if k in tset.members:
+    for k, Pi in enumerate(repr_matrices(r[-1], x.a, x.b)):
+        if k in r:
             total += (k + 1) * np.trace(F[k] @ Pi)
     return complex(total)

@@ -65,7 +65,6 @@ __all__ = [
     "conj_angle",
     "conj_angle_arrays",
     "metric_d",
-    "metric_d_arrays",
     "exp_arrays",
     "mul_arrays",
     "gauss_panels",
@@ -129,11 +128,6 @@ def metric_d(x: GroupElement, y: GroupElement) -> float:
     """Bi-invariant chordal distance sqrt(tr((x-y)(x-y)^*)/2)."""
     inner = np.real(x.a * np.conj(y.a) + x.b * np.conj(y.b))
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
-
-
-def metric_d_arrays(ax, bx, ay, by) -> np.ndarray:
-    inner = np.real(ax * np.conj(ay) + bx * np.conj(by))
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inner))
 
 
 def mul_arrays(a1, b1, a2, b2):
@@ -206,9 +200,10 @@ class WeylRule:
 class QuadratureRule:
     """Euler tensor rule for normalized Haar measure (weights sum to 1).
 
-    Only the axes are stored, for separable fast paths; the flattened
-    weights and (a, b) element arrays, in (alpha, beta, gamma) C order, are
-    built on first access (large rules never need them).  All are read-only.
+    Only the axes are stored; ``matrix_coeffs`` and the general modulus read
+    them one beta slab at a time.  The flattened weights and (a, b) element
+    arrays, in (alpha, beta, gamma) C order, are built on first access; no
+    path of the package asks for them.  All are read-only.
     """
 
     order: int

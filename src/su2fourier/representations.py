@@ -40,14 +40,12 @@ Truncation index sets: the polyhedral set of order N is {0, ..., N}; the
 spherical set collects |m - 1| <= N under the normalization that spaces the
 shifted lattice at integers, giving {1} for N = 0 and {0, ..., N+1} for
 N >= 1 (so the spherical set of order N equals the polyhedral one of order
-N+1).  Block decompositions collapse accordingly: polyhedral blocks are the
-singletons {j}; spherical blocks are {1}, {0, 2}, then singletons {j+1}.
+N+1).  Both are contiguous, so ``truncation_set`` returns a ``range``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +57,6 @@ __all__ = [
     "repr_matrices",
     "repr_matrix",
     "wigner_d",
-    "TruncationSet",
     "truncation_set",
 ]
 
@@ -168,21 +165,7 @@ def euler_diag_freqs(n: int) -> np.ndarray:
     return n - 2 * np.arange(n + 1)
 
 
-@dataclass(frozen=True)
-class TruncationSet:
-    """Index set of a partial-sum truncation plus its block decomposition."""
-
-    mode: str  # "polyhedral" | "spherical"
-    N: int
-    members: tuple
-    blocks: tuple
-
-    @property
-    def max_index(self) -> int:
-        return self.members[-1]
-
-
-def truncation_set(mode: str, N: int) -> TruncationSet:
+def truncation_set(mode: str, N: int) -> range:
     """Polyhedral {0..N} or spherical {m >= 0 : |m-1| <= N} truncations.
 
     The spherical normalization spaces ||lambda_m - rho|| at the integers
@@ -192,15 +175,7 @@ def truncation_set(mode: str, N: int) -> TruncationSet:
     if N < 0:
         raise ValueError("N must be >= 0")
     if mode == "polyhedral":
-        members = tuple(range(N + 1))
-        blocks = tuple((j,) for j in range(N + 1))
-    elif mode == "spherical":
-        members = tuple(m for m in range(N + 2) if abs(m - 1) <= N)
-        blocks = [(1,)]
-        if N >= 1:
-            blocks.append((0, 2))
-        blocks.extend((j + 1,) for j in range(2, N + 1))
-        blocks = tuple(blocks)
-    else:
-        raise ValueError(f"unknown truncation mode {mode!r}")
-    return TruncationSet(mode=mode, N=N, members=members, blocks=blocks)
+        return range(N + 1)
+    if mode == "spherical":
+        return range(1, 2) if N == 0 else range(N + 2)
+    raise ValueError(f"unknown truncation mode {mode!r}")

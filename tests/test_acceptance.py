@@ -20,7 +20,6 @@ from su2fourier.divergence import (
     divergence_table,
     functional_split,
     holder_bound,
-    holder_quotient_estimate,
     partial_sum_at_identity,
     sawtooth,
     sawtooth_normalized,
@@ -34,6 +33,8 @@ from su2fourier.convergence import (
     modulus_profile,
 )
 from su2fourier.cli import run
+
+from holder_quotients import holder_quotient_estimate
 
 
 def _report(tag: str, ok: bool, detail: str, elapsed: float, budget: float):

@@ -184,14 +184,51 @@ def test_integral_modulus_general_is_max_of_translate_norms():
     rule = haar_grid(12)
     t, count, seed = 0.7, 4, 9
     directions = np.random.default_rng(seed)
-    a, b = rule.element_arrays()
-    # the direct norm of delta_h f, with f evaluated afresh for every h
+    # the norm of delta_h f one h at a time, with f evaluated afresh for every h
     want = max(
-        float(np.sqrt(np.real(rule.integrate(np.abs(delta_translate(fz, h)(a, b)) ** 2))))
+        translate_norm_quadrature(fz, h, rule)
         for r in t * np.array([1.0, 0.5, 0.25])
         for h in _sampled_translations(directions, r, count)
     )
     assert integral_modulus(fz, t, sample_count=count, seed=seed, rule=rule) == want
+
+
+def _non_central(a, b):
+    # a smooth complex function that is not a class function
+    return np.cos(3 * np.real(a)) * np.exp(1j * np.imag(b)) + np.real(b) ** 2
+
+
+@pytest.mark.parametrize("order", [12, 24, 48])
+def test_translate_norm_slabs_match_element_array_oracle(order):
+    # the beta-slab path against the flat element arrays and weights of the rule
+    rng = np.random.default_rng(order)
+    z = random_element(rng)
+    inputs = [
+        char_fn(3),
+        left_translate(holder_test_function(0.5), z),
+        left_translate(sawtooth(3), z),
+        _non_central,
+        left_translate(_non_central, z),
+    ]
+    rule = haar_grid(order)
+    a, b = rule.element_arrays()
+    for f in inputs:
+        for r in (0.1, 0.7, 2.0):
+            for h in _sampled_translations(rng, r, 2):
+                sq = np.abs(delta_translate(f, h)(a, b)) ** 2
+                want = float(np.sqrt(np.real(rule.integrate(sq))))
+                got = translate_norm_quadrature(f, h, rule)
+                assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_general_modulus_does_not_materialise_the_rule():
+    rng = np.random.default_rng(24)
+    rule = haar_grid(16)
+    for f in (left_translate(sawtooth(4), random_element(rng)), _non_central):
+        integral_modulus(f, 0.5, sample_count=2, seed=1, rule=rule)
+        modulus_profile(f, 0.2, 0.8, per_decade=2, sample_count=2, seed=1, rule=rule)
+    assert "_elements" not in vars(rule)
+    assert "weights" not in vars(rule)
 
 
 def _nested_translate(f, z):

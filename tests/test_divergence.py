@@ -9,13 +9,14 @@ from su2fourier.divergence import (
     divergence_table,
     functional_split,
     holder_bound,
-    holder_quotient_estimate,
     partial_sum_at_identity,
     sawtooth,
     sawtooth_breakpoints,
     sawtooth_normalized,
     verify_chain,
 )
+
+from holder_quotients import holder_quotient_estimate
 
 
 # ---------------------------------------------------------------- sawtooth

@@ -204,35 +204,24 @@ def test_wigner_d_row_sums_are_bounded():
 
 def test_truncation_polyhedral():
     t = truncation_set("polyhedral", 3)
-    assert t.members == (0, 1, 2, 3)
-    assert t.blocks == ((0,), (1,), (2,), (3,))
+    assert tuple(t) == (0, 1, 2, 3)
 
 
 def test_truncation_spherical_base():
-    assert truncation_set("spherical", 0).members == (1,)
-    assert truncation_set("spherical", 3).members == (0, 1, 2, 3, 4)
-
-
-def test_truncation_spherical_blocks():
-    t = truncation_set("spherical", 4)
-    assert t.blocks == ((1,), (0, 2), (3,), (4,), (5,))
+    assert tuple(truncation_set("spherical", 0)) == (1,)
+    assert tuple(truncation_set("spherical", 3)) == (0, 1, 2, 3, 4)
 
 
 def test_truncation_nesting():
     for mode in ("polyhedral", "spherical"):
         for N in range(0, 201):
             t = truncation_set(mode, N)
-            assert list(t.members) == sorted(set(t.members))
-            flat = [j for blk in t.blocks for j in blk]
-            assert sorted(flat) == list(t.members)  # the blocks partition the members
-            big = set(truncation_set(mode, N + 1).members)
-            assert set(t.members) <= big
+            assert list(t) == sorted(set(t))
+            big = set(truncation_set(mode, N + 1))
+            assert set(t) <= big
 
 
 def test_truncation_shift_relation():
     # spherical members at N equal polyhedral members at N+1, for N >= 1
     for N in range(1, 201):
-        assert (
-            truncation_set("spherical", N).members
-            == truncation_set("polyhedral", N + 1).members
-        )
+        assert truncation_set("spherical", N) == truncation_set("polyhedral", N + 1)
