@@ -25,7 +25,11 @@ slabs of the Haar rule through ``fourier._euler_slabs``, the evaluator behind
 call, and one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per
 sampled direction.  Translates compose, so for f = L_z g with g central that
 is one class-angle pass of (z h^{-1}) y per direction, read from two real
-planes, with no group product and no element arrays on the grid.
+planes, with no group product and no element arrays on the grid.  On that
+two-plane path the slabs run in contiguous beta runs across the usable
+CPUs, and each direction's weighted slab terms are added on the calling
+thread in beta order, so every modulus is bitwise the same for any CPU
+count; any other f is evaluated on the calling thread only.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -43,7 +47,14 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import CentralFn, _euler_slabs, left_translate, partial_sum_central
+from .fourier import (
+    CentralFn,
+    _each_run,
+    _euler_planes,
+    _euler_slabs,
+    left_translate,
+    partial_sum_central,
+)
 from .representations import char_table
 
 __all__ = [
@@ -85,20 +96,36 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     """||delta_h f||_{L^2} over the Haar rule for each h in hs.
 
     f and each translate f(h^{-1} x) stream through the beta slabs of
-    ``_euler_slabs``; f itself is evaluated once per slab, and each squared
-    norm is the beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.
+    ``_euler_slabs`` on one set of ``_euler_planes``, built once per call;
+    f itself is evaluated once per slab, and each squared norm is the
+    beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  On the
+    two-plane path the slabs run in contiguous beta runs across the usable
+    CPUs (``_each_run``), each run holding f on its own slabs and visiting
+    every direction; each slab stores its weighted term, and the terms are
+    added on the calling thread in beta order, so every norm is bitwise the
+    same for any CPU count.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
-    _, _, slab = _euler_slabs(f, rule)
-    base = [slab(ib) for ib in range(len(rule.beta))]
+    planes = _euler_planes(rule)
+    slab, split = _euler_slabs(f, planes)
+    translates = [left_translate(f, h.inverse()) for h in hs]
+    terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]
+
+    def fill(run):
+        base = [slab(ib) for ib in run]
+        for row, fh in zip(terms, translates):
+            moved, _ = _euler_slabs(fh, planes)
+            for ib, fb in zip(run, base):
+                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - moved(ib)) ** 2)
+
+    _each_run(fill, len(rule.beta), split)
     per_slab = len(rule.alpha) * len(rule.gamma)
     norms = []
-    for h in hs:
-        _, _, moved = _euler_slabs(left_translate(f, h.inverse()), rule)
+    for row in terms:
         sq = 0.0
-        for ib, w in enumerate(rule.w_beta):
-            sq += w * np.sum(np.abs(base[ib] - moved(ib)) ** 2)
+        for term in row:
+            sq += term
         norms.append(float(np.sqrt(sq / per_slab)))
     return norms
 

@@ -19,7 +19,12 @@ builds the rule's flat element arrays.  A central f, or a left translate of
 one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q
 from two real (alpha, gamma) planes built once per call, and a real slab
 enters the gamma transform as one real matrix product against the
-interleaved real and imaginary parts of the transform matrix.  Translates
+interleaved real and imaginary parts of the transform matrix.  On that
+two-plane path the beta slabs run in contiguous beta runs, one short-lived
+thread per usable CPU with the calling thread taking the first run; each
+slab writes its own row of the result, and the beta sum runs after the join
+on the calling thread, so results do not depend on the CPU count.  Any
+other callable is evaluated on the calling thread only.  Translates
 compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
 as one.
 
@@ -47,6 +52,8 @@ read-only; populate caches single-threaded before any parallel read.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -102,6 +109,8 @@ class CentralFn:
     chi-coefficients; ``cusps`` lists interior angles where the profile is
     continuous but not smooth, so that auto-built quadrature rules grade
     panels there.  ``norm_sq`` may supply an exact squared L^2 norm.
+    ``fn`` must be safe to call from several threads at once: the beta slabs
+    of ``matrix_coeffs`` and of the general modulus evaluate it concurrently.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -454,8 +463,69 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     return out[0] if np.ndim(theta) == 0 else out
 
 
-def _euler_slabs(f, rule: QuadratureRule):
-    """(cos(beta/2), sin(beta/2), slab) for f on the Euler tensor rule.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_CPUS = _usable_cpus()  # read once at import; the slab split never exceeds it
+
+
+def _each_run(work, count: int, split: bool) -> None:
+    """Call work(run) on contiguous ranges ``run`` that cover range(count).
+
+    With ``split`` true and more than one usable CPU, range(count) is cut
+    into min(_CPUS, count) contiguous runs: the calling thread takes the
+    first run and one short-lived thread each of the others, and all are
+    joined before this returns.  If any run raised, the exception of the
+    lowest-numbered failing run is raised here.  Otherwise the calling
+    thread does work(range(count)).  ``work`` writes its own slots of a
+    preallocated result, so results never depend on the run count.  One
+    call starts at most one thread per CPU, whatever ``work`` loops over:
+    each thread start may give the new thread a fresh malloc arena.
+    """
+    runs = min(_CPUS, count) if split else 1
+    if runs <= 1:
+        work(range(count))
+        return
+    parts = [range(p[0], p[-1] + 1) for p in np.array_split(np.arange(count), runs)]
+    errors = [None] * runs
+
+    def run(i):
+        try:
+            work(parts[i])
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, runs):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _euler_planes(rule: QuadratureRule):
+    """(cos(beta/2), sin(beta/2), e^{i(alpha+gamma)/2}, e^{i(alpha-gamma)/2}).
+
+    The arrays of the Euler tensor rule that every slab evaluator on it
+    shares, built once per ``matrix_coeffs`` or ``_translate_norms`` call.
+    """
+    al, ga = rule.alpha[:, None], rule.gamma[None, :]
+    cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
+    return cb, sb, np.exp(1j * ((al + ga) / 2)), np.exp(1j * ((al - ga) / 2))
+
+
+def _euler_slabs(f, planes):
+    """(slab, split) for f on the Euler tensor rule with ``_euler_planes``.
 
     This is the package's one evaluation of a function on that rule, shared
     by ``matrix_coeffs`` and the general modulus.  ``slab(ib)`` returns f on
@@ -467,22 +537,32 @@ def _euler_slabs(f, rule: QuadratureRule):
     planes P = Re(z.a e^{i(alpha+gamma)/2}) and Q = -Re(z.b
     e^{-i(alpha-gamma)/2}), built once per call, so its slabs form no complex
     (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
-    Euler phases e^{i (alpha +- gamma)/2}, built once and scaled by
-    cos(beta/2) and sin(beta/2).
+    Euler phases, scaled by cos(beta/2) and sin(beta/2).
+
+    ``split`` says whether slabs may be evaluated on several threads at once:
+    true on the two-plane path, whose profile must be thread-safe (see
+    ``CentralFn``), false for any other callable, which the package never
+    calls off the calling thread.
     """
-    al, ga = rule.alpha[:, None], rule.gamma[None, :]
-    cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
+    cb, sb, phase_sum, phase_dif = planes
     if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
         g, z = f.f, f.z
     elif isinstance(f, CentralFn):
         g, z = f, IDENTITY
     else:
-        phase_sum = np.exp(1j * ((al + ga) / 2))
-        phase_dif = np.exp(1j * ((al - ga) / 2))
-        return cb, sb, lambda ib: np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif))
-    P = np.real(z.a * np.exp(1j * ((al + ga) / 2)))
-    Q = -np.real(z.b * np.exp(-1j * ((al - ga) / 2)))
-    return cb, sb, lambda ib: np.asarray(g.fn(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None)))
+        return lambda ib: np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif)), False
+    P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
+    Q = -np.real(z.b * np.conj(phase_dif))
+
+    def slab(ib):
+        # conj_angle_arrays of cos(beta/2) P + sin(beta/2) Q, in place, so each
+        # of the concurrent slabs holds at most two slab-sized temporaries
+        x = cb[ib] * P
+        x += sb[ib] * Q
+        np.clip(x, -1.0, 1.0, out=x)
+        return np.asarray(g.fn(np.arccos(x, out=x)))
+
+    return slab, True
 
 
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
@@ -501,7 +581,12 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     The slabs come from ``_euler_slabs``: two real (alpha, gamma) planes for
     a CentralFn or a left translate of one, the Euler phases for any other
     callable.  A real slab multiplies E_gamma as one real matrix product
-    against its interleaved real and imaginary parts.
+    against its interleaved real and imaginary parts.  On the two-plane path
+    the beta slabs run in contiguous runs, one thread per usable CPU, the
+    calling thread taking the first run (``_each_run``); each slab writes
+    its own row Y[beta], and the beta sum runs after the join on the calling
+    thread, so every F_k is bitwise the same for any CPU count.  Any other
+    callable is evaluated on the calling thread only.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")
@@ -512,14 +597,21 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
     Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
     Eg_real = Eg.view(float)  # [gamma, (re, im) of each nu]
-    cb, sb, slab = _euler_slabs(f, rule)
+    planes = _euler_planes(rule)
+    cb, sb = planes[:2]
+    slab, split = _euler_slabs(f, planes)
+    del planes  # only a general callable's slabs need the phase planes
     Y = np.empty((len(be), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
-    for ib in range(len(be)):
-        vals = slab(ib)
-        if np.iscomplexobj(vals):
-            Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
-        else:
-            Y[ib] = Ea @ (vals @ Eg_real).view(complex)
+
+    def transform(run):
+        for ib in run:
+            vals = slab(ib)
+            if np.iscomplexobj(vals):
+                Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
+            else:
+                Y[ib] = Ea @ (vals @ Eg_real).view(complex)
+
+    _each_run(transform, len(be), split)
     out = []
     for k, d in enumerate(repr_matrices(n_max, cb, sb)):
         idx = euler_diag_freqs(k) + n_max
