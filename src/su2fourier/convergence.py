@@ -27,9 +27,10 @@ sampled direction.  Translates compose, so for f = L_z g with g central that
 is one class-angle pass of (z h^{-1}) y per direction, read from two real
 planes, with no group product and no element arrays on the grid.  On that
 two-plane path the slabs run in contiguous beta runs across the usable
-CPUs, and each direction's weighted slab terms are added on the calling
-thread in beta order, so every modulus is bitwise the same for any CPU
-count; any other f is evaluated on the calling thread only.
+CPUs when BLAS runs on one thread (``fourier._split_cpus``), and each
+direction's weighted slab terms are added on the calling thread in beta
+order, so every modulus is bitwise the same for any CPU count; a
+band-limited f and any other f are evaluated on the calling thread only.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 

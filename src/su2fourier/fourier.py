@@ -20,11 +20,12 @@ one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q
 from two real (alpha, gamma) planes built once per call, and a real slab
 enters the gamma transform as one real matrix product against the
 interleaved real and imaginary parts of the transform matrix.  On that
-two-plane path the beta slabs run in contiguous beta runs, one short-lived
-thread per usable CPU with the calling thread taking the first run; each
-slab writes its own row of the result, and the beta sum runs after the join
-on the calling thread, so results do not depend on the CPU count.  Any
-other callable is evaluated on the calling thread only.  Translates
+two-plane path, when BLAS runs on one thread, the beta slabs run in
+contiguous beta runs, one short-lived thread per usable CPU with the calling
+thread taking the first run; each slab writes its own row of the result,
+and the beta sum runs after the join on the calling thread, so results do
+not depend on the CPU count.  Band-limited functions and any other callable
+are evaluated on the calling thread only.  Translates
 compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
 as one.
 
@@ -110,7 +111,9 @@ class CentralFn:
     continuous but not smooth, so that auto-built quadrature rules grade
     panels there.  ``norm_sq`` may supply an exact squared L^2 norm.
     ``fn`` must be safe to call from several threads at once: the beta slabs
-    of ``matrix_coeffs`` and of the general modulus evaluate it concurrently.
+    of ``matrix_coeffs`` and of the general modulus evaluate it concurrently
+    when BLAS runs on one thread (see ``_split_cpus``), except for a
+    band-limited function, whose profile calls package functions.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -463,19 +466,45 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
     return out[0] if np.ndim(theta) == 0 else out
 
 
-def _usable_cpus() -> int:
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(environ) -> int | None:
+    """The BLAS thread count that ``environ`` sets, or None if it sets none.
+
+    OpenBLAS's reading: the first positive leading integer among
+    ``_BLAS_THREAD_VARS``, in that order.
+    """
+    for name in _BLAS_THREAD_VARS:
+        digits = environ.get(name, "").strip().split(",")[0]
+        if digits.isdigit() and int(digits) > 0:
+            return int(digits)
+    return None
+
+
+def _split_cpus(environ) -> int:
+    """CPUs the beta-slab split may use: all usable ones when BLAS has one thread.
+
+    With more BLAS threads, or none set (BLAS then starts one per CPU), the
+    slab matrix products run on BLAS's own threads, which then compete with
+    the slab threads for the CPUs: splitting on top of them made ``diverge``
+    slower than the serial loop.  So the split then gets one CPU, which is
+    the serial loop.
+    """
+    if _blas_threads(environ) != 1:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-_CPUS = _usable_cpus()  # read once at import; the slab split never exceeds it
+_CPUS = _split_cpus(os.environ)  # read once at import, as BLAS reads its own
 
 
 def _each_run(work, count: int, split: bool) -> None:
     """Call work(run) on contiguous ranges ``run`` that cover range(count).
 
-    With ``split`` true and more than one usable CPU, range(count) is cut
+    With ``split`` true and ``_CPUS`` above one, range(count) is cut
     into min(_CPUS, count) contiguous runs: the calling thread takes the
     first run and one short-lived thread each of the others, and all are
     joined before this returns.  If any run raised, the exception of the
@@ -541,8 +570,10 @@ def _euler_slabs(f, planes):
 
     ``split`` says whether slabs may be evaluated on several threads at once:
     true on the two-plane path, whose profile must be thread-safe (see
-    ``CentralFn``), false for any other callable, which the package never
-    calls off the calling thread.
+    ``CentralFn``), unless f is band-limited; false for any other callable.
+    A band-limited profile sums characters through ``char_table`` (or
+    ``char_eval``), and package functions are called from the calling thread
+    only, so that anything wrapped around them sees one thread.
     """
     cb, sb, phase_sum, phase_dif = planes
     if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
@@ -562,7 +593,7 @@ def _euler_slabs(f, planes):
         np.clip(x, -1.0, 1.0, out=x)
         return np.asarray(g.fn(np.arccos(x, out=x)))
 
-    return slab, True
+    return slab, g.band_coeffs is None
 
 
 def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
@@ -582,11 +613,13 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     a CentralFn or a left translate of one, the Euler phases for any other
     callable.  A real slab multiplies E_gamma as one real matrix product
     against its interleaved real and imaginary parts.  On the two-plane path
-    the beta slabs run in contiguous runs, one thread per usable CPU, the
-    calling thread taking the first run (``_each_run``); each slab writes
-    its own row Y[beta], and the beta sum runs after the join on the calling
-    thread, so every F_k is bitwise the same for any CPU count.  Any other
-    callable is evaluated on the calling thread only.
+    the beta slabs run in contiguous runs, one thread per CPU of
+    ``_split_cpus`` (every usable CPU when BLAS runs on one thread, else
+    one), the calling thread taking the first run (``_each_run``); each slab
+    writes its own row Y[beta], and the beta sum runs after the join on the
+    calling thread, so every F_k is bitwise the same for any CPU count.  A
+    band-limited f and any other callable are evaluated on the calling
+    thread only.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")

@@ -2,19 +2,23 @@
 
 ``fourier._each_run`` runs the slabs of the two-plane path (a CentralFn or a
 left translate of one) in contiguous beta runs on short-lived threads, one per
-usable CPU; general callables stay on the calling thread.  Results must be
-bitwise those of the serial loop for every CPU count.
+CPU of ``fourier._CPUS``: every usable CPU when BLAS runs on one thread, else
+one.  Band-limited functions and general callables stay on the calling
+thread.  Results must be bitwise those of the serial loop for every CPU count.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import su2fourier
+import su2fourier.cli  # noqa: F401  (the benchmark tracer hooks cli functions too)
 from su2fourier import fourier
 from su2fourier.convergence import (
     _translate_norms,
@@ -222,6 +226,101 @@ def test_each_run_raises_the_lowest_failing_run(monkeypatch):
     with pytest.raises(ValueError, match="slab 5"):
         fourier._each_run(work, 11, True)
     assert threading.active_count() == before
+
+
+USABLE = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize(
+    "environ, cpus",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, USABLE),
+        ({"OPENBLAS_NUM_THREADS": " 1 "}, USABLE),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"GOTO_NUM_THREADS": "1"}, USABLE),
+        ({"OMP_NUM_THREADS": "1"}, USABLE),
+        ({"OMP_NUM_THREADS": "1,4"}, USABLE),
+        ({"OMP_NUM_THREADS": "4,1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, USABLE),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "2"}, 1),
+        ({"MKL_NUM_THREADS": "1"}, 1),
+    ],
+)
+def test_split_uses_every_cpu_only_when_blas_has_one_thread(environ, cpus):
+    assert fourier._split_cpus(environ) == cpus
+
+
+@pytest.mark.parametrize("blas", [None, "1", "2"])
+def test_split_cpus_are_read_from_the_environment_at_import(blas):
+    env = {k: v for k, v in os.environ.items() if k not in fourier._BLAS_THREAD_VARS}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    src = os.path.dirname(os.path.dirname(os.path.abspath(su2fourier.__file__)))
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from su2fourier import fourier\n"
+        "print(fourier._CPUS)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True,
+        env=env,
+    ).stdout.split()
+    assert out == [str(USABLE if blas == "1" else 1)]
+
+
+def test_band_limited_profile_runs_on_the_calling_thread_only(monkeypatch):
+    monkeypatch.setattr(fourier, "_CPUS", 2)
+    band = band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j]))
+    threads = []
+    fn = band.fn
+
+    def profile(th):
+        threads.append(threading.get_ident())
+        return fn(th)
+
+    band.fn = profile
+    f = left_translate(band, Z)
+    assert not fourier._euler_slabs(f, fourier._euler_planes(RULE))[1]
+    matrix_coeffs(f, 2, RULE)
+    integral_modulus(f, 0.3, sample_count=2, rule=RULE)
+    assert len(threads) > len(RULE.beta)
+    assert set(threads) == {threading.get_ident()}
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_band_limited_translate_nests_its_spans(monkeypatch):
+    """The benchmark's tracer keeps one span stack; char_table spans must nest."""
+    monkeypatch.setattr(fourier, "_CPUS", 2)
+    rule = haar_grid(64)  # slabs long enough for two threads to overlap
+    f = left_translate(band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j])), Z)
+    tracer = _load_spans().Tracer(su2fourier)
+    interval = sys.getswitchinterval()
+    tracer.install()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            tracer.root("pass", lambda: su2fourier.fourier.matrix_coeffs(f, 4, rule))
+    finally:
+        sys.setswitchinterval(interval)
+        tracer.remove()
+    assert tracer.stack == []
+    names = [span[0] for span in tracer.spans]
+    assert names.count("representations.char_table") == 3 * len(rule.beta)
+    for name, start, end, parent, _ in tracer.spans:
+        if name == "representations.char_table":
+            assert names[parent] == "fourier.matrix_coeffs"
+        if parent >= 0:
+            assert tracer.spans[parent][1] <= start <= end <= tracer.spans[parent][2]
 
 
 def test_import_starts_no_thread_and_no_executor():
