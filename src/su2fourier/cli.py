@@ -2,10 +2,13 @@
 
 Every table carries a metadata header (artifact version, the full parsed
 config, the seed, and a wall-clock stamp).  The payload region -- the header
-row plus data rows for CSV, the "rows" array for JSON -- is a pure function
-of config and seed: fixed row order, fixed column order, single-threaded
-evaluation, floats printed with 17 significant digits (exact double
-round-trip).  Only the wall-clock stamp in the metadata varies between runs.
+row plus data rows for CSV, the "rows" array for JSON -- has a fixed row
+order and column order, and floats are printed with 17 significant digits
+(exact double round-trip).  At a fixed BLAS thread count it is a function of
+config and seed alone, so only the wall-clock stamp in the metadata varies
+between runs.  The beta-slab threads of the 3D paths never change it, but
+the BLAS library's own thread count may move the last digits of a product
+(the central quadrature coefficients behind ``dini`` and ``jackson`` do).
 
 Exit codes: 0 success, 1 when a margin-style check fails (the offending rows
 are listed on stderr), 2 on usage errors.  The environment variable
@@ -15,10 +18,10 @@ SU2FOURIER_OUTDIR supplies a default directory for relative output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -45,34 +48,11 @@ from .convergence import (
     uniform_error_central,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 CHAIN_MARGIN_TOL = 1e-8
 CHAIN_IDENTITY_TOL = 1e-10
 DIVERGE_GAP_TOL = 1e-4
-
-
-@dataclass
-class RunConfig:
-    """Echo of one run: serialized verbatim into every output header."""
-
-    command: str
-    seed: int
-    fmt: str
-    output: str | None
-    params: dict = field(default_factory=dict)
-
-    def meta(self) -> dict:
-        return {
-            "artifact": "su2fourier",
-            "version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "format": self.fmt,
-            "output": self.output,
-            "config": self.params,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-        }
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +144,7 @@ def _resolve_output(path: str | None) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# command handlers: each returns (rows, exit_code, failures)
+# command handlers: each returns (rows, failures); run() dispatches by argparse
 # --------------------------------------------------------------------------
 
 def _cmd_kernel_check(args):
@@ -193,26 +173,18 @@ def _cmd_lebesgue(args):
     return rows, []
 
 
+_CHAIN_COLUMNS = (
+    "n", "min_margin", "identity_error", "dirichlet_value", "dirichlet_floor",
+    "tail_integral", "bounded_term", "oscillatory_term", "value", "lip_norm_bound",
+)
+
+
 def _cmd_chain(args):
     rows, failures = [], []
     for n in args.n:
         rep = verify_chain(n, nodes_per_cell=args.nodes_per_cell, alpha=args.alpha)
         ok = rep.ok(CHAIN_MARGIN_TOL) and rep.identity_error <= CHAIN_IDENTITY_TOL
-        rows.append(
-            {
-                "n": n,
-                "min_margin": rep.min_margin,
-                "identity_error": rep.identity_error,
-                "dirichlet_value": rep.dirichlet_value,
-                "dirichlet_floor": rep.dirichlet_floor,
-                "tail_integral": rep.tail_integral,
-                "bounded_term": rep.bounded_term,
-                "oscillatory_term": rep.oscillatory_term,
-                "value": rep.value,
-                "lip_norm_bound": rep.lip_norm_bound,
-                "ok": ok,
-            }
-        )
+        rows.append({c: getattr(rep, c) for c in _CHAIN_COLUMNS} | {"ok": ok})
         if not ok:
             failures.append(
                 f"n={n}: min_margin {rep.min_margin:.3e}, identity {rep.identity_error:.3e}"
@@ -285,19 +257,7 @@ def _cmd_dini(args):
 
 def _cmd_jackson(args):
     f = parse_central_fn(args.fn)
-    rows = []
-    for k in args.k:
-        pt = jackson_ratio(f, k)
-        rows.append(
-            {
-                "k": k,
-                "best_approx": pt.best_approx,
-                "modulus": pt.modulus,
-                "ratio": pt.ratio,
-                "degenerate": pt.degenerate,
-            }
-        )
-    return rows, []
+    return [dataclasses.asdict(jackson_ratio(f, k)) for k in args.k], []
 
 
 def _cmd_rm_sum(args):
@@ -316,89 +276,76 @@ def _cmd_uniform_central(args):
     return rows, []
 
 
-_HANDLERS = {
-    "kernel-check": _cmd_kernel_check,
-    "lebesgue": _cmd_lebesgue,
-    "chain": _cmd_chain,
-    "diverge": _cmd_diverge,
-    "partial-sum": _cmd_partial_sum,
-    "modulus": _cmd_modulus,
-    "dini": _cmd_dini,
-    "jackson": _cmd_jackson,
-    "rm-sum": _cmd_rm_sum,
-    "uniform-central": _cmd_uniform_central,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="su2fourier", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="file path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("kernel-check", help="direct vs closed Dirichlet kernel")
     sp.add_argument("--n-max", type=int, default=200)
     sp.add_argument("--grid", type=int, default=2000)
     sp.add_argument("--exclude", type=float, default=1e-3)
-    common(sp)
+    common(sp, _cmd_kernel_check)
 
     sp = sub.add_parser("lebesgue", help="L1 kernel norms vs the log asymptote")
     sp.add_argument("--n", type=parse_int_list, default=[1, 10, 100, 1000])
     sp.add_argument("--nodes-per-interval", type=int, default=8)
-    common(sp)
+    common(sp, _cmd_lebesgue)
 
     sp = sub.add_parser("chain", help="lower-bound chain margins for the witnesses")
     sp.add_argument("--n", type=parse_int_list, default=list(range(2, 65)))
     sp.add_argument("--nodes-per-cell", type=int, default=8)
     sp.add_argument("--alpha", type=float, default=0.5)
-    common(sp)
+    common(sp, _cmd_chain)
 
     sp = sub.add_parser("diverge", help="translated witnesses: general vs central path")
     sp.add_argument("--points", default="random:3")
     sp.add_argument("--n", type=parse_int_list, default=[4, 8, 16])
     sp.add_argument("--order", type=int, default=128)
-    common(sp)
+    common(sp, _cmd_diverge)
 
     sp = sub.add_parser("partial-sum", help="partial sum of a central function on a grid")
     sp.add_argument("--fn", default="sawtooth:7")
     sp.add_argument("--n", type=parse_int_list, default=[12])
     sp.add_argument("--mode", choices=("polyhedral", "spherical"), default="polyhedral")
     sp.add_argument("--grid", type=int, default=41)
-    common(sp)
+    common(sp, _cmd_partial_sum)
 
     sp = sub.add_parser("modulus", help="integral modulus of continuity profile")
     sp.add_argument("--fn", default="sawtooth:5")
     sp.add_argument("--t-min", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=1.0)
     sp.add_argument("--per-decade", type=int, default=16)
-    common(sp)
+    common(sp, _cmd_modulus)
 
     sp = sub.add_parser("dini", help="Dini integral of the squared modulus")
     sp.add_argument("--fn", default="holder:0.5")
     sp.add_argument("--t-min-list", type=parse_float_list, default=[1e-2, 1e-3, 1e-4])
     sp.add_argument("--t-max", type=float, default=1.0)
     sp.add_argument("--per-decade", type=int, default=16)
-    common(sp)
+    common(sp, _cmd_dini)
 
     sp = sub.add_parser("jackson", help="best approximation over modulus quotients")
     sp.add_argument("--fn", default="sawtooth:9")
     sp.add_argument("--k", type=parse_int_list, default=[1, 2, 3, 4, 5, 6])
-    common(sp)
+    common(sp, _cmd_jackson)
 
     sp = sub.add_parser("rm-sum", help="log-weighted block energy sums")
     sp.add_argument("--fn", default="sawtooth:5")
     sp.add_argument("--j", type=parse_int_list, default=[16, 64, 256, 1024, 4096])
-    common(sp)
+    common(sp, _cmd_rm_sum)
 
     sp = sub.add_parser("uniform-central", help="sup error away from the poles")
     sp.add_argument("--fn", default="sqrtshift")
     sp.add_argument("--n", type=parse_int_list, default=[64, 128, 256])
     sp.add_argument("--delta", type=float, default=0.3)
     sp.add_argument("--grid", type=int, default=2000)
-    common(sp)
+    common(sp, _cmd_uniform_central)
 
     return p
 
@@ -409,27 +356,28 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("command", "fmt", "output", "seed")
-    }
-    config = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        fmt=args.fmt,
-        output=_resolve_output(args.output),
-        params=params,
-    )
+    output = _resolve_output(args.output)
     try:
-        rows, failures = _HANDLERS[args.command](args)
+        rows, failures = args.handler(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"su2fourier: {exc}", file=sys.stderr)
         return 2
-    meta = config.meta()
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            write_table(meta, rows, config.fmt, fh)
+    echoed = ("command", "fmt", "output", "seed", "handler")
+    meta = {
+        "artifact": "su2fourier",
+        "version": __version__,
+        "command": args.command,
+        "seed": args.seed,
+        "format": args.fmt,
+        "output": output,
+        "config": {k: v for k, v in vars(args).items() if k not in echoed},
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+    }
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            write_table(meta, rows, args.fmt, fh)
     else:
-        write_table(meta, rows, config.fmt, sys.stdout)
+        write_table(meta, rows, args.fmt, sys.stdout)
     if failures:
         for line in failures:
             print(f"su2fourier: FAIL {line}", file=sys.stderr)

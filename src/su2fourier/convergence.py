@@ -20,17 +20,14 @@ For central f the translate difference has the exact coefficient form
 independent of the direction of X (class functions only see the conjugacy
 angle of the translation), which anchors the general 3D quadrature path.
 That path draws each radius's directions in one batch and streams the beta
-slabs of the Haar rule through ``fourier._euler_slabs``, the evaluator behind
-``matrix_coeffs``: f once per ``integral_modulus`` or ``modulus_profile``
-call, and one translate f(h^{-1} .) = ``left_translate(f, h^{-1})`` per
-sampled direction.  Translates compose, so for f = L_z g with g central that
-is one class-angle pass of (z h^{-1}) y per direction, read from two real
-planes, with no group product and no element arrays on the grid.  On that
-two-plane path the slabs run in contiguous beta runs across the usable
-CPUs when BLAS runs on one thread (``fourier._split_cpus``), and each
-direction's weighted slab terms are added on the calling thread in beta
-order, so every modulus is bitwise the same for any CPU count; a
-band-limited f and any other f are evaluated on the calling thread only.
+slabs of the Haar rule through ``fourier._translate_norms``: f once per
+``integral_modulus`` or ``modulus_profile`` call, and one translate
+f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
+Translates compose, so for f = L_z g with g central that is one class-angle
+pass of (z h^{-1}) y per direction, read from two real planes, with no group
+product and no element arrays on the grid.  The slabs may run on several
+threads; ``fourier._each_run`` says when, and why every modulus is bitwise
+the same for any CPU count.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -48,14 +45,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import (
-    CentralFn,
-    _each_run,
-    _euler_planes,
-    _euler_slabs,
-    left_translate,
-    partial_sum_central,
-)
+from .fourier import CentralFn, _translate_norms, left_translate, partial_sum_central
 from .representations import char_table
 
 __all__ = [
@@ -91,44 +81,6 @@ def _translations(rng: np.random.Generator, r: float, count: int) -> list:
     cs, betas = random_directions(rng, count)
     ah, bh = exp_arrays(r * cs, r * betas)
     return [GroupElement(complex(x), complex(y)) for x, y in zip(ah, bh)]
-
-
-def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
-    """||delta_h f||_{L^2} over the Haar rule for each h in hs.
-
-    f and each translate f(h^{-1} x) stream through the beta slabs of
-    ``_euler_slabs`` on one set of ``_euler_planes``, built once per call;
-    f itself is evaluated once per slab, and each squared norm is the
-    beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  On the
-    two-plane path the slabs run in contiguous beta runs across the usable
-    CPUs (``_each_run``), each run holding f on its own slabs and visiting
-    every direction; each slab stores its weighted term, and the terms are
-    added on the calling thread in beta order, so every norm is bitwise the
-    same for any CPU count.
-    """
-    if not isinstance(rule, QuadratureRule):
-        raise ValueError("general functions need a haar rule")
-    planes = _euler_planes(rule)
-    slab, split = _euler_slabs(f, planes)
-    translates = [left_translate(f, h.inverse()) for h in hs]
-    terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]
-
-    def fill(run):
-        base = [slab(ib) for ib in run]
-        for row, fh in zip(terms, translates):
-            moved, _ = _euler_slabs(fh, planes)
-            for ib, fb in zip(run, base):
-                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - moved(ib)) ** 2)
-
-    _each_run(fill, len(rule.beta), split)
-    per_slab = len(rule.alpha) * len(rule.gamma)
-    norms = []
-    for row in terms:
-        sq = 0.0
-        for term in row:
-            sq += term
-        norms.append(float(np.sqrt(sq / per_slab)))
-    return norms
 
 
 def translate_norm_quadrature(f, h: GroupElement, rule: QuadratureRule) -> float:
@@ -311,20 +263,21 @@ def uniform_error_central(f: CentralFn, N: int, delta: float, grid_size: int = 2
 # Hoelder test families
 # --------------------------------------------------------------------------
 
-def holder_test_function(alpha: float, amplitude: float = 0.125) -> CentralFn:
-    """amplitude * |cos theta|^alpha: a genuinely alpha-Hoelder class function.
+_HOLDER_AMPLITUDE = 0.125  # keeps the convergence-criterion tails inside the test tolerances
+
+
+def holder_test_function(alpha: float) -> CentralFn:
+    """A |cos theta|^alpha, A = _HOLDER_AMPLITUDE: an alpha-Hoelder class function.
 
     The cusp at theta = pi/2 makes the coefficients decay like n^{-(1+alpha)}
     (even n only, by symmetry).  The squared norm is exact:
-    amplitude^2 * Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 2)).
-    The default amplitude keeps the convergence-criterion tails comfortably
-    inside the tolerances used by the verification suites.
+    A^2 * Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 2)).
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    nsq = amplitude**2 * gamma(alpha + 0.5) / (sqrt(pi) * gamma(alpha + 2.0))
+    nsq = _HOLDER_AMPLITUDE**2 * gamma(alpha + 0.5) / (sqrt(pi) * gamma(alpha + 2.0))
     return CentralFn(
-        fn=lambda th: amplitude * np.abs(np.cos(th)) ** alpha,
+        fn=lambda th: _HOLDER_AMPLITUDE * np.abs(np.cos(th)) ** alpha,
         name=f"holder:{alpha}",
         cusps=(np.pi / 2,),
         norm_sq=nsq,

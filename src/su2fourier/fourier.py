@@ -13,21 +13,17 @@ with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
 For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  One
 evaluator, ``_euler_slabs``, turns a function into its values on the Euler
-tensor rule, one beta slab at a time; ``matrix_coeffs`` and the general
-integral modulus in ``convergence`` both stream its slabs, and neither
-builds the rule's flat element arrays.  A central f, or a left translate of
-one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q
-from two real (alpha, gamma) planes built once per call, and a real slab
-enters the gamma transform as one real matrix product against the
-interleaved real and imaginary parts of the transform matrix.  On that
-two-plane path, when BLAS runs on one thread, the beta slabs run in
-contiguous beta runs, one short-lived thread per usable CPU with the calling
-thread taking the first run; each slab writes its own row of the result,
-and the beta sum runs after the join on the calling thread, so results do
-not depend on the CPU count.  Band-limited functions and any other callable
-are evaluated on the calling thread only.  Translates
-compose (L_g L_z f = L_{z g} f), so a translate of a translate is evaluated
-as one.
+tensor rule, one beta slab at a time; ``matrix_coeffs`` and
+``_translate_norms`` (behind the general integral modulus in
+``convergence``) both stream its slabs, and neither builds the rule's flat
+element arrays.  A central f, or a left translate of one, reads Re of the
+a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from two real
+(alpha, gamma) planes built once per call, and a real slab enters the gamma
+transform as one real matrix product against the interleaved real and
+imaginary parts of the transform matrix.  The slabs of that two-plane path
+may run on several threads; ``_each_run`` says when, and why results do not
+depend on it.  Translates compose (L_g L_z f = L_{z g} f), so a translate of
+a translate is evaluated as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -110,10 +106,9 @@ class CentralFn:
     chi-coefficients; ``cusps`` lists interior angles where the profile is
     continuous but not smooth, so that auto-built quadrature rules grade
     panels there.  ``norm_sq`` may supply an exact squared L^2 norm.
-    ``fn`` must be safe to call from several threads at once: the beta slabs
-    of ``matrix_coeffs`` and of the general modulus evaluate it concurrently
-    when BLAS runs on one thread (see ``_split_cpus``), except for a
-    band-limited function, whose profile calls package functions.
+    ``fn`` must be safe to call from several threads at once, unless the
+    function is band-limited: the beta slabs may evaluate it concurrently
+    (see ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -179,6 +174,8 @@ class CentralFn:
 
 
 def char_fn(n: int) -> CentralFn:
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     return CentralFn(
@@ -469,29 +466,19 @@ def partial_sum_central(f: CentralFn, N: int, mode: str, theta):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _blas_threads(environ) -> int | None:
-    """The BLAS thread count that ``environ`` sets, or None if it sets none.
-
-    OpenBLAS's reading: the first positive leading integer among
-    ``_BLAS_THREAD_VARS``, in that order.
-    """
-    for name in _BLAS_THREAD_VARS:
-        digits = environ.get(name, "").strip().split(",")[0]
-        if digits.isdigit() and int(digits) > 0:
-            return int(digits)
-    return None
-
-
 def _split_cpus(environ) -> int:
     """CPUs the beta-slab split may use: all usable ones when BLAS has one thread.
 
+    The BLAS thread count is OpenBLAS's reading of ``environ``: the first
+    positive leading integer among ``_BLAS_THREAD_VARS``, in that order.
     With more BLAS threads, or none set (BLAS then starts one per CPU), the
     slab matrix products run on BLAS's own threads, which then compete with
     the slab threads for the CPUs: splitting on top of them made ``diverge``
     slower than the serial loop.  So the split then gets one CPU, which is
     the serial loop.
     """
-    if _blas_threads(environ) != 1:
+    leads = (environ.get(name, "").strip().split(",")[0] for name in _BLAS_THREAD_VARS)
+    if next((int(v) for v in leads if v.isdigit() and int(v) > 0), None) != 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -504,15 +491,25 @@ _CPUS = _split_cpus(os.environ)  # read once at import, as BLAS reads its own
 def _each_run(work, count: int, split: bool) -> None:
     """Call work(run) on contiguous ranges ``run`` that cover range(count).
 
-    With ``split`` true and ``_CPUS`` above one, range(count) is cut
-    into min(_CPUS, count) contiguous runs: the calling thread takes the
-    first run and one short-lived thread each of the others, and all are
-    joined before this returns.  If any run raised, the exception of the
-    lowest-numbered failing run is raised here.  Otherwise the calling
-    thread does work(range(count)).  ``work`` writes its own slots of a
-    preallocated result, so results never depend on the run count.  One
-    call starts at most one thread per CPU, whatever ``work`` loops over:
-    each thread start may give the new thread a fresh malloc arena.
+    This is the one account of the beta-slab split of ``matrix_coeffs`` and
+    ``_translate_norms``.  ``split`` is true only on the two-plane path of
+    ``_euler_slabs`` (a CentralFn or a left translate of one) when the
+    profile is not band-limited.  A band-limited profile sums characters
+    through package functions; it and any other callable run on the calling
+    thread only, so that anything wrapped around package functions sees one
+    thread.  With ``split`` true and ``_CPUS`` above one (every usable CPU
+    when BLAS runs on one thread, else one: see ``_split_cpus``),
+    range(count) is cut into min(_CPUS, count) contiguous runs: the calling
+    thread takes the first run and one short-lived thread each of the
+    others, and all are joined before this returns.  If any run raised, the
+    exception of the lowest-numbered failing run is raised here.  Otherwise
+    the calling thread does work(range(count)).
+
+    ``work`` writes its own slots of a preallocated result, one per beta
+    slab, and the callers sum over beta after the join, on the calling
+    thread in beta order, so results are bitwise the same for any CPU count.
+    One call starts at most one thread per CPU, whatever ``work`` loops
+    over: each thread start may give the new thread a fresh malloc arena.
     """
     runs = min(_CPUS, count) if split else 1
     if runs <= 1:
@@ -557,7 +554,7 @@ def _euler_slabs(f, planes):
     """(slab, split) for f on the Euler tensor rule with ``_euler_planes``.
 
     This is the package's one evaluation of a function on that rule, shared
-    by ``matrix_coeffs`` and the general modulus.  ``slab(ib)`` returns f on
+    by ``matrix_coeffs`` and ``_translate_norms``.  ``slab(ib)`` returns f on
     beta slab ib as an (alpha, gamma) array.  On that slab y has
     a = cos(beta/2) e^{i(alpha+gamma)/2} and b = sin(beta/2)
     e^{i(alpha-gamma)/2}.  A CentralFn (its own translate by z = identity) or
@@ -568,12 +565,8 @@ def _euler_slabs(f, planes):
     (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
     Euler phases, scaled by cos(beta/2) and sin(beta/2).
 
-    ``split`` says whether slabs may be evaluated on several threads at once:
-    true on the two-plane path, whose profile must be thread-safe (see
-    ``CentralFn``), unless f is band-limited; false for any other callable.
-    A band-limited profile sums characters through ``char_table`` (or
-    ``char_eval``), and package functions are called from the calling thread
-    only, so that anything wrapped around them sees one thread.
+    ``split`` is the flag of ``_each_run``: true on the two-plane path
+    unless f is band-limited, false for any other callable.
     """
     cb, sb, phase_sum, phase_dif = planes
     if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
@@ -612,14 +605,8 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     The slabs come from ``_euler_slabs``: two real (alpha, gamma) planes for
     a CentralFn or a left translate of one, the Euler phases for any other
     callable.  A real slab multiplies E_gamma as one real matrix product
-    against its interleaved real and imaginary parts.  On the two-plane path
-    the beta slabs run in contiguous runs, one thread per CPU of
-    ``_split_cpus`` (every usable CPU when BLAS runs on one thread, else
-    one), the calling thread taking the first run (``_each_run``); each slab
-    writes its own row Y[beta], and the beta sum runs after the join on the
-    calling thread, so every F_k is bitwise the same for any CPU count.  A
-    band-limited f and any other callable are evaluated on the calling
-    thread only.
+    against its interleaved real and imaginary parts.  Each slab writes its
+    own row Y[beta], and ``_each_run`` runs the slabs.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_euler_3d rule")
@@ -651,6 +638,41 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
         Yk = Y[:, idx][:, :, idx]  # [beta, q, p]
         out.append(np.einsum("b,bqp,bqp->pq", wb, d, Yk))
     return out
+
+
+def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
+    """||delta_h f||_{L^2} over the Haar rule for each h in hs.
+
+    f and each translate f(h^{-1} x) stream through the beta slabs of
+    ``_euler_slabs`` on one set of ``_euler_planes``, built once per call;
+    f itself is evaluated once per slab, and each squared norm is the
+    beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  ``_each_run``
+    runs the slabs; each run holds f on its own slabs and visits every
+    direction, and each slab stores its weighted term.
+    """
+    if not isinstance(rule, QuadratureRule):
+        raise ValueError("general functions need a haar rule")
+    planes = _euler_planes(rule)
+    slab, split = _euler_slabs(f, planes)
+    translates = [left_translate(f, h.inverse()) for h in hs]
+    terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]
+
+    def fill(run):
+        base = [slab(ib) for ib in run]
+        for row, fh in zip(terms, translates):
+            moved, _ = _euler_slabs(fh, planes)
+            for ib, fb in zip(run, base):
+                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - moved(ib)) ** 2)
+
+    _each_run(fill, len(rule.beta), split)
+    per_slab = len(rule.alpha) * len(rule.gamma)
+    norms = []
+    for row in terms:
+        sq = 0.0
+        for term in row:
+            sq += term
+        norms.append(float(np.sqrt(sq / per_slab)))
+    return norms
 
 
 def partial_sum_general(f, N: int, mode: str, x: GroupElement, rule: QuadratureRule):

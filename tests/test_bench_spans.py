@@ -4,20 +4,10 @@ Renaming a traced function or method fails here, not only in a traced
 benchmark run.
 """
 
-import importlib.util
-from pathlib import Path
-
 import su2fourier
 import su2fourier.cli  # noqa: F401  (the tracer hooks cli functions too)
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_spans as _load_spans
 
 
 def test_tracer_installs_every_hook_and_restores_the_originals():

@@ -140,6 +140,25 @@ def test_payload_reproducible(tmp_path, fmt):
         assert m1 == m2
 
 
+def test_payload_does_not_depend_on_the_slab_cpus(tmp_path, monkeypatch):
+    argv = ["diverge", "--points", "random:2", "--n", "4", "--order", "24", "--format", "json"]
+    payloads = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fourier, "_CPUS", cpus)
+        payloads.append(_payload_json(_run_to_file(tmp_path, f"cpus{cpus}.json", argv)[1]))
+    assert payloads[0] == payloads[1]
+
+
+def test_json_meta_keys_and_config_echo(tmp_path):
+    _, text = _run_to_file(tmp_path, "meta.json", ["lebesgue", "--n", "0", "--format", "json"])
+    meta = json.loads(text)["meta"]
+    assert list(meta) == [
+        "artifact", "version", "command", "seed", "format", "output", "config", "generated_at"
+    ]
+    assert meta["command"] == "lebesgue"
+    assert list(meta["config"].items()) == [("n", [0]), ("nodes_per_interval", 8)]
+
+
 def test_different_seed_changes_payload(tmp_path):
     argv = ["diverge", "--points", "random:1", "--n", "4", "--order", "32"]
     _, a = _run_to_file(tmp_path, "s1.csv", argv + ["--seed", "1"])
@@ -177,6 +196,14 @@ def test_usage_error_exit_code(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("su2fourier: ")
+
+
+@pytest.mark.parametrize("degree", [-1, -3])
+def test_negative_character_degree_is_usage_error(degree, capsys):
+    assert run(["partial-sum", "--fn", f"char:{degree}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"su2fourier: degree n must be >= 0, got {degree}\n"
 
 
 @pytest.mark.parametrize(

@@ -32,10 +32,7 @@ from su2fourier.convergence import (
     uniform_error_central,
 )
 
-
-def random_element(rng):
-    a, b = random_elements(rng, 1)
-    return GroupElement(complex(a[0]), complex(b[0]))
+from helpers import random_element
 
 
 def random_translation(rng, radius):

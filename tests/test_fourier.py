@@ -43,10 +43,7 @@ from su2fourier.fourier import (
 from su2fourier.convergence import holder_test_function, sqrt_shift_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints
 
-
-def random_element(rng):
-    a, b = random_elements(rng, 1)
-    return GroupElement(complex(a[0]), complex(b[0]))
+from helpers import elements, random_element
 
 
 # ---------------------------------------------------------------- coefficients
@@ -351,18 +348,6 @@ def test_left_translate_central_matches_group_product():
         want = f.on_group(*mul_arrays(z.a, z.b, a, b))
         assert np.array_equal(left_translate(f, z)(a, b), want)
 
-
-def _normalized(q):
-    r = np.sqrt(sum(c * c for c in q))
-    return GroupElement(complex(q[0], q[1]) / r, complex(q[2], q[3]) / r)
-
-
-# unit quaternions from the cube [-1, 1]^4, poles and axis points included
-elements = (
-    st.tuples(*[st.floats(-1, 1)] * 4)
-    .filter(lambda q: sum(c * c for c in q) > 1e-2)
-    .map(_normalized)
-)
 
 _RE_A_SLACK = 4 * np.finfo(float).eps  # composition moves Re a by <= 1.5 eps (measured)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 from scipy.linalg import expm
 
 from su2fourier.group import (
@@ -15,35 +15,18 @@ from su2fourier.group import (
     make_element,
     metric_d,
     mul_arrays,
-    random_elements,
     random_directions,
     weyl_grid,
 )
 from su2fourier import group
 from su2fourier.representations import char_eval
 
-
-def random_element(rng):
-    a, b = random_elements(rng, 1)
-    return GroupElement(complex(a[0]), complex(b[0]))
+from helpers import elements, random_element
 
 
 def exp_element(c, beta):
     a, b = exp_arrays(np.array([c]), np.array([beta]))
     return GroupElement(complex(a[0]), complex(b[0]))
-
-
-def _normalized(q):
-    r = np.sqrt(sum(c * c for c in q))
-    return GroupElement(complex(q[0], q[1]) / r, complex(q[2], q[3]) / r)
-
-
-# unit quaternions from the cube [-1, 1]^4, poles and axis points included
-elements = (
-    st.tuples(*[st.floats(-1, 1)] * 4)
-    .filter(lambda q: sum(c * c for c in q) > 1e-2)
-    .map(_normalized)
-)
 
 
 # ---------------------------------------------------------------- elements

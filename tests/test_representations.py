@@ -17,10 +17,7 @@ from su2fourier.representations import (
     wigner_d,
 )
 
-
-def random_element(rng):
-    a, b = random_elements(rng, 1)
-    return GroupElement(complex(a[0]), complex(b[0]))
+from helpers import random_element
 
 
 # ---------------------------------------------------------------- characters

@@ -7,12 +7,10 @@ one.  Band-limited functions and general callables stay on the calling
 thread.  Results must be bitwise those of the serial loop for every CPU count.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +27,8 @@ from su2fourier.convergence import (
 from su2fourier.divergence import sawtooth
 from su2fourier.fourier import CentralFn, band_limited_fn, left_translate, matrix_coeffs
 from su2fourier.group import GroupElement, conj_angle_arrays, haar_grid, random_elements
+
+from helpers import load_spans as _load_spans
 
 RULE = haar_grid(2)  # 11 beta slabs: 16 CPUs is more CPUs than slabs
 Z = GroupElement(*(complex(x[0]) for x in random_elements(np.random.default_rng(3), 1)))
@@ -288,14 +288,6 @@ def test_band_limited_profile_runs_on_the_calling_thread_only(monkeypatch):
     integral_modulus(f, 0.3, sample_count=2, rule=RULE)
     assert len(threads) > len(RULE.beta)
     assert set(threads) == {threading.get_ident()}
-
-
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_band_limited_translate_nests_its_spans(monkeypatch):
