@@ -80,8 +80,15 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def parse_central_fn(spec: str) -> CentralFn:
-    """sawtooth:N | char:N | holder:ALPHA | sqrtshift | const[:V]"""
-    kind, _, arg = spec.partition(":")
+    """sawtooth:N | char:N | holder:ALPHA | sqrtshift | const[:V]
+
+    sawtooth, char and holder need their argument, and sqrtshift takes none.
+    """
+    kind, sep, arg = spec.partition(":")
+    if kind in ("sawtooth", "char", "holder") and not arg:
+        raise argparse.ArgumentTypeError(f"function spec {spec!r} needs an argument")
+    if kind == "sqrtshift" and sep:
+        raise argparse.ArgumentTypeError(f"function spec {spec!r} takes no argument")
     if kind == "sawtooth":
         return sawtooth(int(arg))
     if kind == "char":
@@ -96,11 +103,13 @@ def parse_central_fn(spec: str) -> CentralFn:
 
 
 def parse_points(spec: str, seed: int) -> list[GroupElement]:
-    """"random:K" (Haar samples from the seed) or "e" (the identity)."""
+    """"random:K" (K >= 1 Haar samples from the seed) or "e" (the identity)."""
     if spec == "e":
         return [GroupElement(1.0 + 0j, 0.0 + 0j)]
     kind, _, arg = spec.partition(":")
     if kind == "random":
+        if not arg.isdigit() or int(arg) < 1:
+            raise argparse.ArgumentTypeError(f"points spec {spec!r} needs a count K >= 1")
         rng = np.random.default_rng(seed)
         a, b = random_elements(rng, int(arg))
         return [GroupElement(complex(x), complex(y)) for x, y in zip(a, b)]

@@ -30,9 +30,12 @@ closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
 kernel D_m(t) = sin((2m+1)t/2)/sin(t/2) = 1 + 2 sum_{j<=m} cos(jt); both
 evaluations are provided, with series fallbacks inside |sin| < 1e-4 pole
 neighborhoods (summed in blocks of indices, in the plain loop's order).  The
-L^1 norm (Lebesgue constant) is integrated piecewise between the known zeros
-t_k = 2 k pi/(2n+3) of the oscillating factor, 8-node Gauss-Legendre per
-subinterval, which restores spectral accuracy lost to the absolute value.
+L^1 norm (Lebesgue constant) of D_{n+1} is integrated panel by panel between
+the zeros t_k = 2 k pi/(2n+3) of its numerator, 8-node Gauss-Legendre per
+panel, which restores the spectral accuracy lost to the absolute value.  On
+each panel the numerator's modulus is sin(pi x) in the local coordinate
+x in [0, 1] (sin(pi x / 2) on the last half-panel), in closed form, so the
+integrand needs neither the pole fallback nor a large-argument sine.
 
 Partial sums are computed in coefficient space (exact for band-limited
 inputs); kernel convolution survives only as a test oracle.  Coefficients of
@@ -394,10 +397,8 @@ def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
     a = n + 0.5
 
     def quotient(tt, s, m):
-        ts = tt[m]
-        return (
-            a * np.cos(a * ts) * np.sin(ts / 2) - 0.5 * np.cos(ts / 2) * np.sin(a * ts)
-        ) / np.sin(ts / 2) ** 2
+        ts, sm = tt[m], s[m]
+        return (a * np.cos(a * ts) * sm - 0.5 * np.cos(ts / 2) * np.sin(a * ts)) / sm**2
 
     def sine_sum(tt, m):
         tp = tt[m]
@@ -429,19 +430,30 @@ def dirichlet_closed(N: int, theta) -> np.ndarray | float:
 
 
 def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
-    """(1/pi) int_0^pi |D_{n+1}(theta)| d(theta).
+    """(1/pi) int_0^pi |D_{n+1}(t)| dt, D_{n+1}(t) = sin(M t/2) / sin(t/2), M = 2n+3.
 
-    |D_{n+1}| is smooth between consecutive zeros t_k = 2 k pi / (2n+3), so
-    the integral is summed per subinterval with a small Gauss rule each;
-    accuracy is limited only by the one half-oscillation per subinterval.
+    The numerator vanishes at t_k = k h, h = 2 pi / M, so [0, pi] splits into
+    the full panels [k h, (k+1) h], k = 0..n, and the half-panel
+    [(n+1) h, pi].  At the local coordinate x in [0, 1] the numerator's
+    modulus is sin(pi x) on a full panel and sin(pi x / 2) on the half-panel,
+    exactly, so |D_{n+1}| = sin(pi x) / sin(t/2) there: no large-argument
+    sine, and every node lies strictly inside (0, pi), away from the pole.
+    Each panel takes the same ``nodes_per_interval``-point Gauss rule on the
+    unit cell (``gauss_panels``), so a node costs one sine and one division.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     M = 2 * n + 3
-    edges = np.concatenate(([0.0], 2 * np.pi * np.arange(1, n + 2) / M, [np.pi]))
-    tt, ww = gauss_panels(edges, nodes_per_interval)
-    vals = np.abs(classical_dirichlet(n + 1, tt.ravel())).reshape(tt.shape)
-    return float(np.sum(ww * vals) / np.pi)
+    x, w = gauss_panels(np.array([0.0, 1.0]), nodes_per_interval)  # unit cell
+    x, w = x[0], w[0]
+    # full panels k = 0..n: t/2 = (k + x) pi / M, numerator sin(pi x)
+    half = np.arange(n + 1)[:, None] + x
+    half *= np.pi / M
+    full = np.sum(np.reciprocal(np.sin(half, out=half), out=half) @ (w * np.sin(np.pi * x)))
+    # last half-panel: t/2 = (n + 1 + x/2) pi / M, numerator sin(pi x / 2)
+    last = np.sum(w * np.sin(np.pi * x / 2) / np.sin((n + 1 + x / 2) * (np.pi / M)))
+    # (1/pi) (h full + (h/2) last) with h = 2 pi / M
+    return float((2 * full + last) / M)
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,32 @@ def test_empty_list_argument_is_usage_error(argv, capsys):
     assert f"argument {argv[1]}: empty list" in err
 
 
+@pytest.mark.parametrize("spec", ["random:-1", "random:0", "random:", "random:x"])
+def test_points_spec_without_a_positive_count_is_usage_error(spec, capsys):
+    assert run(["diverge", "--points", spec, "--order", "8", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"su2fourier: points spec {spec!r} needs a count K >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ("sqrtshift:3", "takes no argument"),
+        ("sqrtshift:", "takes no argument"),
+        ("sawtooth:", "needs an argument"),
+        ("char:", "needs an argument"),
+        ("holder:", "needs an argument"),
+        ("holder", "needs an argument"),
+    ],
+)
+def test_function_spec_argument_mismatch_is_usage_error(spec, problem, capsys):
+    assert run(["partial-sum", "--fn", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"su2fourier: function spec {spec!r} {problem}\n"
+
+
 @pytest.mark.parametrize(
     "module", [group, representations, fourier, divergence, convergence, cli]
 )

@@ -1,11 +1,13 @@
 """Coefficients, Dirichlet kernels, partial sums, Lebesgue constants."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from su2fourier import fourier
 from su2fourier.group import (
     GroupElement,
     conj_angle,
@@ -526,6 +528,17 @@ def test_classical_dirichlet_blocked_fallback_is_bitwise_the_loop(n):
         assert fn(n, band[1]) == loop(n, band[1])
 
 
+def test_classical_dirichlet_deriv_quotient_is_bitwise_the_old_expression():
+    # the package's quotient reads sin(t/2) from pole_safe's s; the loop
+    # reference above recomputes it inside the expression, twice
+    grid = np.linspace(1e-3, np.pi - 1e-3, 2000)  # the kernel-check grid
+    t = np.concatenate((grid, np.random.default_rng(0).uniform(0.0, 2 * np.pi, 5000)))
+    for n in range(202):
+        assert np.array_equal(
+            classical_dirichlet_deriv(n, t), _classical_dirichlet_deriv_loop(n, t)
+        )
+
+
 # ---------------------------------------------------------------- partial sums
 
 def test_partial_sum_reproduces_band_limited():
@@ -650,6 +663,33 @@ def test_lebesgue_monotone_and_asymptote():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     want = 4 / np.pi**2 * np.log(1001) + 1.2706
     assert abs(vals[-1] - want) < 0.2
+
+
+def _lebesgue_fejer(n):
+    # Fejer: 1/M + (2/pi) sum_{k=1}^{n+1} tan(k pi/M)/k, M = 2n+3; near pi/2
+    # tan(k pi/M) is ill-conditioned in its rounded argument, so there it is
+    # cot((M - 2k) pi/(2M)), whose argument is small and rounds relatively
+    M = 2 * n + 3
+    k = np.arange(1, n + 2)
+    tan = np.where(
+        4 * k > M, 1 / np.tan((M - 2 * k) * np.pi / (2 * M)), np.tan(k * np.pi / M)
+    )
+    return 1 / M + 2 / np.pi * math.fsum(tan / k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 1000, 10**4, 10**5])
+def test_lebesgue_matches_fejer_closed_form(n):
+    want = _lebesgue_fejer(n)
+    assert abs(lebesgue_constant(n) - want) <= 1e-14 * want
+
+
+def test_lebesgue_never_evaluates_the_pole_fallback(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("pole fallback evaluated")
+
+    monkeypatch.setattr(fourier, "classical_dirichlet", boom)
+    monkeypatch.setattr(fourier, "_sum_in_blocks", boom)
+    assert lebesgue_constant(10**5) == pytest.approx(_lebesgue_fejer(10**5), rel=1e-14)
 
 
 def test_lebesgue_gap_trend():
