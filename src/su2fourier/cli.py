@@ -74,6 +74,14 @@ def parse_int_list(text: str) -> list[int]:
     return _nonempty([int(p) for p in text.split(",") if p], text)
 
 
+def parse_count(text: str) -> int:
+    """A count of points or nodes; one below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {value}")
+    return value
+
+
 def parse_float_list(text: str) -> list[float]:
     """"0.01,0.001"; an empty result is a usage error."""
     return _nonempty([float(p) for p in text.split(",") if p], text)
@@ -176,7 +184,7 @@ def _cmd_kernel_check(args):
 def _cmd_lebesgue(args):
     rows = []
     for n in args.n:
-        val = lebesgue_constant(n, args.nodes_per_interval)
+        val = lebesgue_constant(n)
         asym = float(4 / np.pi**2 * np.log(n + 1))
         rows.append({"n": n, "l1_norm": val, "asymptote": asym, "gap": val - asym})
     return rows, []
@@ -297,18 +305,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-check", help="direct vs closed Dirichlet kernel")
     sp.add_argument("--n-max", type=int, default=200)
-    sp.add_argument("--grid", type=int, default=2000)
+    sp.add_argument("--grid", type=parse_count, default=2000)
     sp.add_argument("--exclude", type=float, default=1e-3)
     common(sp, _cmd_kernel_check)
 
     sp = sub.add_parser("lebesgue", help="L1 kernel norms vs the log asymptote")
     sp.add_argument("--n", type=parse_int_list, default=[1, 10, 100, 1000])
-    sp.add_argument("--nodes-per-interval", type=int, default=8)
     common(sp, _cmd_lebesgue)
 
     sp = sub.add_parser("chain", help="lower-bound chain margins for the witnesses")
     sp.add_argument("--n", type=parse_int_list, default=list(range(2, 65)))
-    sp.add_argument("--nodes-per-cell", type=int, default=8)
+    sp.add_argument("--nodes-per-cell", type=parse_count, default=8)
     sp.add_argument("--alpha", type=float, default=0.5)
     common(sp, _cmd_chain)
 
@@ -322,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", default="sawtooth:7")
     sp.add_argument("--n", type=parse_int_list, default=[12])
     sp.add_argument("--mode", choices=("polyhedral", "spherical"), default="polyhedral")
-    sp.add_argument("--grid", type=int, default=41)
+    sp.add_argument("--grid", type=parse_count, default=41)
     common(sp, _cmd_partial_sum)
 
     sp = sub.add_parser("modulus", help="integral modulus of continuity profile")
@@ -353,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", default="sqrtshift")
     sp.add_argument("--n", type=parse_int_list, default=[64, 128, 256])
     sp.add_argument("--delta", type=float, default=0.3)
-    sp.add_argument("--grid", type=int, default=2000)
+    sp.add_argument("--grid", type=parse_count, default=2000)
     common(sp, _cmd_uniform_central)
 
     return p

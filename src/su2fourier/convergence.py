@@ -150,16 +150,18 @@ def modulus_profile(
 ) -> ModulusProfile:
     """Omega on a log-spaced grid (>= per_decade points per decade).
 
-    The radii must satisfy 0 < t_min <= t_max <= pi.  Each Omega(t) is the
-    running supremum over all grid radii <= t, so the profile is monotone by
-    construction (nested sampling).  Central f uses the exact coefficient
-    form on DEFAULT_COEFF_LIMIT + 1 coefficients.  General f needs the Haar
-    ``rule`` and samples ``sample_count`` directions per radius, each radius
-    from a fresh generator seeded with ``seed``; f is evaluated on the rule
-    once per call.
+    The radii must satisfy 0 < t_min <= t_max <= pi, and per_decade >= 1.
+    Each Omega(t) is the running supremum over all grid radii <= t, so the
+    profile is monotone by construction (nested sampling).  Central f uses
+    the exact coefficient form on DEFAULT_COEFF_LIMIT + 1 coefficients.
+    General f needs the Haar ``rule`` and samples ``sample_count`` directions
+    per radius, each radius from a fresh generator seeded with ``seed``; f is
+    evaluated on the rule once per call.
     """
     if not 0 < t_min <= t_max <= np.pi:
         raise ValueError(f"radii must satisfy 0 < t_min <= t_max <= pi, got {t_min}, {t_max}")
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1, got {per_decade}")
     decades = np.log10(t_max / t_min)
     count = int(np.ceil(per_decade * decades)) + 1
     ts = np.geomspace(t_min, t_max, count)
@@ -181,12 +183,15 @@ def dini_integral(profile: ModulusProfile, t_min: float) -> float:
     With s = log t the integrand becomes Omega^2(e^s), slowly varying, so the
     trapezoid rule on the profile's log-spaced grid is adequate.  When t_min
     falls between grid points the integrand is interpolated to the exact
-    lower limit rather than truncating the domain.
+    lower limit rather than truncating the domain.  t_min must lie within
+    the profile's radii.
     """
     ts = profile.t_values[::-1]
     om = profile.omega_values[::-1]
     if t_min < ts[0] * (1 - 1e-12):
         raise ValueError("profile does not reach down to t_min")
+    if t_min > ts[-1]:
+        raise ValueError(f"t_min {t_min} lies above the profile's largest radius {ts[-1]}")
     s = np.log(ts)
     y = om**2
     s_min = np.log(t_min)

@@ -142,6 +142,23 @@ class FunctionalSplit:
         return self.bounded_term - self.oscillatory_term
 
 
+def _witness_cells(n: int, nodes_per_cell: int):
+    """Gauss nodes tt, weights ww and witness values g on the breakpoint cells."""
+    th, va = sawtooth_breakpoints(n)
+    tt, ww = gauss_panels(th, nodes_per_cell)
+    return tt, ww, np.interp(tt, th, va)
+
+
+def _split_on_cells(n: int, tt, ww, g) -> FunctionalSplit:
+    """Both integrals of the split on the cells of ``_witness_cells``."""
+    D = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
+    bounded = float(np.sum(ww * g * np.cos(tt / 2) ** 2 * D) / np.pi)
+    osc = float(
+        np.sum(ww * g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)) * (2 * n + 3) / np.pi
+    )
+    return FunctionalSplit(n=n, bounded_term=bounded, oscillatory_term=osc)
+
+
 def functional_split(n: int, nodes_per_cell: int = 8) -> FunctionalSplit:
     """Evaluate both plain-d(theta) integrals of the split on the breakpoint cells.
 
@@ -149,15 +166,7 @@ def functional_split(n: int, nodes_per_cell: int = 8) -> FunctionalSplit:
     per-cell Gauss rule is exact to machine precision; the two-term total
     must agree with the coefficient path for S_n f_n(e).
     """
-    th, va = sawtooth_breakpoints(n)
-    tt, ww = gauss_panels(th, nodes_per_cell)
-    g = np.interp(tt, th, va)
-    D = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
-    bounded = float(np.sum(ww * g * np.cos(tt / 2) ** 2 * D) / np.pi)
-    osc = float(
-        np.sum(ww * g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)) * (2 * n + 3) / np.pi
-    )
-    return FunctionalSplit(n=n, bounded_term=bounded, oscillatory_term=osc)
+    return _split_on_cells(n, *_witness_cells(n, nodes_per_cell))
 
 
 @dataclass
@@ -203,9 +212,7 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     under-resolved rule, not bad mathematics.
     """
     M = 2 * n + 3
-    th, va = sawtooth_breakpoints(n)
-    tt, ww = gauss_panels(th, nodes_per_cell)
-    g = np.interp(tt, th, va)
+    tt, ww, g = _witness_cells(n, nodes_per_cell)
     integrand = g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)
     cell_vals = np.sum(ww * integrand, axis=1)
     lhs = cell_vals[: n + 1]
@@ -215,10 +222,10 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     tail = float(cell_vals[n + 1])
 
     cosine_sum = float(np.sum(np.cos(np.arange(1, n + 2) * np.pi / M)))
-    D = float(classical_dirichlet(n + 1, np.pi / M))
+    D = float(1 / np.sin(np.pi / (2 * M)))  # D_{n+1}(pi/M), see the module docstring
     identity_error = abs(cosine_sum - (D - 1) / 2)
 
-    split = functional_split(n, nodes_per_cell)
+    split = _split_on_cells(n, tt, ww, g)
     summed = float(np.sum(rhs))  # tail bound is 0
     final = (D - 1) / 3  # = (M/pi) * summed via the cosine identity
     floor = 2 * M / np.pi

@@ -30,12 +30,10 @@ closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
 kernel D_m(t) = sin((2m+1)t/2)/sin(t/2) = 1 + 2 sum_{j<=m} cos(jt); both
 evaluations are provided, with series fallbacks inside |sin| < 1e-4 pole
 neighborhoods (summed in blocks of indices, in the plain loop's order).  The
-L^1 norm (Lebesgue constant) of D_{n+1} is integrated panel by panel between
-the zeros t_k = 2 k pi/(2n+3) of its numerator, 8-node Gauss-Legendre per
-panel, which restores the spectral accuracy lost to the absolute value.  On
-each panel the numerator's modulus is sin(pi x) in the local coordinate
-x in [0, 1] (sin(pi x / 2) on the last half-panel), in closed form, so the
-integrand needs neither the pole fallback nor a large-argument sine.
+L^1 norm (Lebesgue constant) of D_{n+1} is Fejer's finite sum
+1/M + (2/pi) sum_{k<=n+1} tan(k pi/M)/k, M = 2n+3, exact up to rounding; no
+kernel value and no quadrature enters it (the panel quadrature between the
+zeros of the numerator survives only as a test oracle).
 
 Partial sums are computed in coefficient space (exact for band-limited
 inputs); kernel convolution survives only as a test oracle.  Coefficients of
@@ -65,7 +63,6 @@ from .group import (
     QuadratureRule,
     WeylRule,
     conj_angle_arrays,
-    gauss_panels,
     mul_arrays,
     weyl_grid,
 )
@@ -429,31 +426,24 @@ def dirichlet_closed(N: int, theta) -> np.ndarray | float:
     )
 
 
-def lebesgue_constant(n: int, nodes_per_interval: int = 8) -> float:
+def lebesgue_constant(n: int) -> float:
     """(1/pi) int_0^pi |D_{n+1}(t)| dt, D_{n+1}(t) = sin(M t/2) / sin(t/2), M = 2n+3.
 
-    The numerator vanishes at t_k = k h, h = 2 pi / M, so [0, pi] splits into
-    the full panels [k h, (k+1) h], k = 0..n, and the half-panel
-    [(n+1) h, pi].  At the local coordinate x in [0, 1] the numerator's
-    modulus is sin(pi x) on a full panel and sin(pi x / 2) on the half-panel,
-    exactly, so |D_{n+1}| = sin(pi x) / sin(t/2) there: no large-argument
-    sine, and every node lies strictly inside (0, pi), away from the pole.
-    Each panel takes the same ``nodes_per_interval``-point Gauss rule on the
-    unit cell (``gauss_panels``), so a node costs one sine and one division.
+    Fejer's closed form 1/M + (2/pi) sum_{k=1}^{n+1} tan(k pi/M) / k (L. Fejer,
+    J. reine angew. Math. 138, 1910).  For 4k > M the tangent is taken as
+    cot((M - 2k) pi / (2M)): that argument is small and rounds relatively,
+    while tan's own argument there lies near pi/2, where its rounding is
+    amplified up to M times.  The positive terms are added pairwise.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     M = 2 * n + 3
-    x, w = gauss_panels(np.array([0.0, 1.0]), nodes_per_interval)  # unit cell
-    x, w = x[0], w[0]
-    # full panels k = 0..n: t/2 = (k + x) pi / M, numerator sin(pi x)
-    half = np.arange(n + 1)[:, None] + x
-    half *= np.pi / M
-    full = np.sum(np.reciprocal(np.sin(half, out=half), out=half) @ (w * np.sin(np.pi * x)))
-    # last half-panel: t/2 = (n + 1 + x/2) pi / M, numerator sin(pi x / 2)
-    last = np.sum(w * np.sin(np.pi * x / 2) / np.sin((n + 1 + x / 2) * (np.pi / M)))
-    # (1/pi) (h full + (h/2) last) with h = 2 pi / M
-    return float((2 * full + last) / M)
+    k = np.arange(1, n + 2)
+    near = M // 4  # k > near <=> 4k > M, as M is odd
+    tan = np.empty(n + 1)
+    tan[:near] = np.tan(k[:near] * np.pi / M)
+    tan[near:] = 1 / np.tan((M - 2 * k[near:]) * np.pi / (2 * M))
+    return float(1 / M + 2 / np.pi * np.sum(tan / k))
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +611,7 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     own row Y[beta], and ``_each_run`` runs the slabs.
     """
     if not isinstance(rule, QuadratureRule):
-        raise ValueError("matrix coefficients need a haar_euler_3d rule")
+        raise ValueError("matrix coefficients need a haar_grid rule")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     al, be, wb, ga = rule.alpha, rule.beta, rule.w_beta, rule.gamma

@@ -156,7 +156,7 @@ def test_json_meta_keys_and_config_echo(tmp_path):
         "artifact", "version", "command", "seed", "format", "output", "config", "generated_at"
     ]
     assert meta["command"] == "lebesgue"
-    assert list(meta["config"].items()) == [("n", [0]), ("nodes_per_interval", 8)]
+    assert list(meta["config"].items()) == [("n", [0])]
 
 
 def test_different_seed_changes_payload(tmp_path):
@@ -185,6 +185,10 @@ def test_usage_error_exit_code(capsys):
         ["modulus", "--t-min", "-1"],
         ["modulus", "--t-min", "2", "--t-max", "1"],
         ["dini", "--t-min-list", "0"],
+        ["dini", "--per-decade", "0"],
+        ["dini", "--t-min-list", "0.5,0.001", "--t-max", "0.1"],
+        ["modulus", "--per-decade", "0"],
+        ["modulus", "--per-decade", "-3"],
         ["kernel-check", "--n-max", "-1"],
         ["uniform-central", "--n", "-1"],
         ["rm-sum", "--fn", "holder:0.5", "--j", "-1"],
@@ -196,6 +200,23 @@ def test_usage_error_exit_code(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("su2fourier: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-check", "--grid", "0"],
+        ["uniform-central", "--grid", "0"],
+        ["partial-sum", "--grid", "0"],
+        ["partial-sum", "--grid", "-1"],
+        ["chain", "--n", "4", "--nodes-per-cell", "0"],
+    ],
+)
+def test_count_below_one_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: count must be >= 1, got {argv[-1]}" in err
 
 
 @pytest.mark.parametrize("degree", [-1, -3])

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from su2fourier import fourier
 from su2fourier.group import (
     GroupElement,
     conj_angle,
+    gauss_panels,
     haar_grid,
     mul_arrays,
     random_elements,
@@ -677,9 +679,38 @@ def _lebesgue_fejer(n):
     return 1 / M + 2 / np.pi * math.fsum(tan / k)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 10, 1000, 10**4, 10**5])
+def _lebesgue_fejer_mpmath(n):
+    # Fejer's sum at 40 digits: tan's relative condition near pi/2 is about M,
+    # far inside the working precision
+    M = 2 * n + 3
+    with mpmath.workdps(40):
+        tail = mpmath.fsum(mpmath.tan(k * mpmath.pi / M) / k for k in range(1, n + 2))
+        return 1 / mpmath.mpf(M) + 2 / mpmath.pi * tail
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 100, 1000, 10**4, 10**5])
 def test_lebesgue_matches_fejer_closed_form(n):
-    want = _lebesgue_fejer(n)
+    want = _lebesgue_fejer_mpmath(n)
+    assert abs(lebesgue_constant(n) - want) <= 1e-15 * want
+
+
+def _lebesgue_panels(n):
+    # (1/pi) int_0^pi |D_{n+1}| by Gauss-Legendre on the panels between the
+    # zeros k h, h = 2 pi/M, of sin(M t/2): the full panels [k h, (k+1) h],
+    # k = 0..n, and the half-panel [(n+1) h, pi].  At the local coordinate
+    # x in [0, 1] the numerator's modulus is sin(pi x) on a full panel and
+    # sin(pi x/2) on the half-panel, so no node needs the pole fallback.
+    M = 2 * n + 3
+    x, w = gauss_panels(np.array([0.0, 1.0]), 8)  # the unit cell
+    x, w = x[0], w[0]
+    full = np.sum(w * np.sin(np.pi * x) / np.sin((np.arange(n + 1)[:, None] + x) * np.pi / M))
+    last = np.sum(w * np.sin(np.pi * x / 2) / np.sin((n + 1 + x / 2) * np.pi / M))
+    return float((2 * full + last) / M)  # (1/pi) (h full + (h/2) last)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 100, 1000, 10**4, 10**5])
+def test_lebesgue_matches_panel_quadrature(n):
+    want = _lebesgue_panels(n)
     assert abs(lebesgue_constant(n) - want) <= 1e-14 * want
 
 
