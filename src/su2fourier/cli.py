@@ -87,6 +87,9 @@ def parse_float_list(text: str) -> list[float]:
     return _nonempty([float(p) for p in text.split(",") if p], text)
 
 
+_SPEC_NUMBERS = {"sawtooth": int, "char": int, "holder": float, "const": float}
+
+
 def parse_central_fn(spec: str) -> CentralFn:
     """sawtooth:N | char:N | holder:ALPHA | sqrtshift | const[:V]
 
@@ -97,16 +100,25 @@ def parse_central_fn(spec: str) -> CentralFn:
         raise argparse.ArgumentTypeError(f"function spec {spec!r} needs an argument")
     if kind == "sqrtshift" and sep:
         raise argparse.ArgumentTypeError(f"function spec {spec!r} takes no argument")
+    number = _SPEC_NUMBERS.get(kind)
+    if number is not None and arg:
+        try:
+            value = number(arg)
+        except ValueError:
+            what = "an integer" if number is int else "a number"
+            raise argparse.ArgumentTypeError(
+                f"function spec {spec!r} needs {what}, got {arg!r}"
+            ) from None
     if kind == "sawtooth":
-        return sawtooth(int(arg))
+        return sawtooth(value)
     if kind == "char":
-        return char_fn(int(arg))
+        return char_fn(value)
     if kind == "holder":
-        return holder_test_function(float(arg))
+        return holder_test_function(value)
     if kind == "sqrtshift":
         return sqrt_shift_fn()
     if kind == "const":
-        return const_fn(float(arg) if arg else 1.0)
+        return const_fn(value if arg else 1.0)
     raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}")
 
 

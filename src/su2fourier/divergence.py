@@ -209,8 +209,12 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
 
     Margin violations are reported, not raised: with adequate per-cell nodes
     every margin is a true inequality, so a violation signals an
-    under-resolved rule, not bad mathematics.
+    under-resolved rule, not bad mathematics.  ``alpha`` is the Hoelder
+    exponent of ``lip_norm_bound``; outside 0 < alpha <= 1, where the
+    interpolation behind ``holder_bound`` holds, it raises ValueError.
     """
+    if not 0.0 < alpha <= 1.0:  # NaN fails this test too
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     M = 2 * n + 3
     tt, ww, g = _witness_cells(n, nodes_per_cell)
     integrand = g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)

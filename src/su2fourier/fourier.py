@@ -13,16 +13,16 @@ with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
 For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  One
 evaluator, ``_euler_slabs``, turns a function into its values on the Euler
-tensor rule, one beta slab at a time; ``matrix_coeffs`` and
-``_translate_norms`` (behind the general integral modulus in
-``convergence``) both stream its slabs, and neither builds the rule's flat
-element arrays.  A central f, or a left translate of one, reads Re of the
-a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from two real
-(alpha, gamma) planes built once per call, and a real slab enters the gamma
-transform as one real matrix product against the interleaved real and
-imaginary parts of the transform matrix.  The slabs of that two-plane path
-may run on several threads; ``_each_run`` says when, and why results do not
-depend on it.  Translates compose (L_g L_z f = L_{z g} f), so a translate of
+tensor rule, one beta slab at a time, from the Euler phases of the rule's
+``planes()``; ``matrix_coeffs`` and ``_translate_norms`` (behind the general
+integral modulus in ``convergence``) both stream its slabs, and neither
+forms (a, b) arrays over the whole grid.  A central f, or a left translate
+of one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2)
+Q from two real (alpha, gamma) planes built once per call, and a real slab
+enters the gamma transform as one real matrix product against the
+interleaved real and imaginary parts of the transform matrix.  The slabs of
+that two-plane path may run on several threads; ``_each_run`` says when,
+and why results do not depend on it.  Translates compose (L_g L_z f = L_{z g} f), so a translate of
 a translate is evaluated as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
@@ -541,19 +541,8 @@ def _each_run(work, count: int, split: bool) -> None:
             raise exc
 
 
-def _euler_planes(rule: QuadratureRule):
-    """(cos(beta/2), sin(beta/2), e^{i(alpha+gamma)/2}, e^{i(alpha-gamma)/2}).
-
-    The arrays of the Euler tensor rule that every slab evaluator on it
-    shares, built once per ``matrix_coeffs`` or ``_translate_norms`` call.
-    """
-    al, ga = rule.alpha[:, None], rule.gamma[None, :]
-    cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
-    return cb, sb, np.exp(1j * ((al + ga) / 2)), np.exp(1j * ((al - ga) / 2))
-
-
 def _euler_slabs(f, planes):
-    """(slab, split) for f on the Euler tensor rule with ``_euler_planes``.
+    """(slab, split) for f on the Euler tensor rule with its ``planes()``.
 
     This is the package's one evaluation of a function on that rule, shared
     by ``matrix_coeffs`` and ``_translate_norms``.  ``slab(ib)`` returns f on
@@ -619,7 +608,7 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
     Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
     Eg_real = Eg.view(float)  # [gamma, (re, im) of each nu]
-    planes = _euler_planes(rule)
+    planes = rule.planes()
     cb, sb = planes[:2]
     slab, split = _euler_slabs(f, planes)
     del planes  # only a general callable's slabs need the phase planes
@@ -646,15 +635,15 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     """||delta_h f||_{L^2} over the Haar rule for each h in hs.
 
     f and each translate f(h^{-1} x) stream through the beta slabs of
-    ``_euler_slabs`` on one set of ``_euler_planes``, built once per call;
-    f itself is evaluated once per slab, and each squared norm is the
+    ``_euler_slabs`` on one set of the rule's ``planes()``, built once per
+    call; f itself is evaluated once per slab, and each squared norm is the
     beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  ``_each_run``
     runs the slabs; each run holds f on its own slabs and visits every
     direction, and each slab stores its weighted term.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
-    planes = _euler_planes(rule)
+    planes = rule.planes()
     slab, split = _euler_slabs(f, planes)
     translates = [left_translate(f, h.inverse()) for h in hs]
     terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]

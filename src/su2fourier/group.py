@@ -38,11 +38,15 @@ Two integration rule types are provided, both normalized to total mass 1:
   gamma in [0, 4pi), d(mu) = sin(beta) d(alpha) d(beta) d(gamma) / (16 pi^2).
   Trapezoid (equal weight) in the periodic angles, Gauss-Legendre with the
   sin(beta) weight in beta.  Products of matrix coefficients of total degree
-  <= order are integrated to near machine precision.
+  <= order are integrated to near machine precision.  The rule is its four
+  axes (alpha, beta, the beta weights, gamma); ``planes()`` builds the Euler
+  phases from them, and ``element_arrays()`` the flat (a, b) arrays, afresh
+  on every call.
 
 The Gauss-Legendre nodes and weights behind both rules are computed once per
-node count and cached read-only.  The arrays a rule stores or caches (nodes,
-weights, axes, element arrays) are read-only too: every caller shares them.
+node count and cached read-only.  The arrays a rule stores (Weyl nodes and
+weights, Haar axes) and the arrays it builds on request (Euler phases,
+element arrays) are read-only too: every caller shares the stored ones.
 
 All operations are pure; quadrature sums are evaluated with a fixed
 summation order, so results do not depend on execution interleaving.
@@ -51,7 +55,7 @@ summation order, so results do not depend on execution interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -181,7 +185,6 @@ class WeylRule:
     to 1.
     """
 
-    order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -198,15 +201,15 @@ class WeylRule:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Euler tensor rule for normalized Haar measure (weights sum to 1).
+    """Euler tensor rule for normalized Haar measure: its four axes.
 
-    Only the axes are stored; ``matrix_coeffs`` and the general modulus read
-    them one beta slab at a time.  The flattened weights and (a, b) element
-    arrays, in (alpha, beta, gamma) C order, are built on first access; no
-    path of the package asks for them.  All are read-only.
+    The node (alpha_i, beta_j, gamma_k) carries the weight
+    w_beta[j] / (len(alpha) len(gamma)); the beta weights sum to 1.  The rule
+    stores the axes, read-only, and nothing else.  ``planes()`` builds the
+    Euler phases from them; ``matrix_coeffs`` and the general modulus build
+    them once per call and stream them one beta slab at a time.
     """
 
-    order: int
     alpha: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
     w_beta: np.ndarray = field(repr=False)
@@ -218,28 +221,25 @@ class QuadratureRule:
     def __len__(self) -> int:
         return len(self.alpha) * len(self.beta) * len(self.gamma)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        na, nb, ng = len(self.alpha), len(self.beta), len(self.gamma)
-        w = np.broadcast_to(self.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
-        _read_only(w)
-        return w
+    def planes(self):
+        """(cos(beta/2), sin(beta/2), e^{i(alpha+gamma)/2}, e^{i(alpha-gamma)/2}).
 
-    @cached_property
-    def _elements(self) -> tuple:
-        al, ga = self.alpha[:, None, None], self.gamma[None, None, :]
-        be = self.beta[None, :, None]
-        a = np.cos(be / 2) * np.exp(1j * (al + ga) / 2)
-        b = np.sin(be / 2) * np.exp(1j * (al - ga) / 2)
-        return _read_only(a.ravel(), b.ravel())
+        The package's one builder of the Euler phases: the node (alpha, beta,
+        gamma) is a = cos(beta/2) e^{i(alpha+gamma)/2}, b = sin(beta/2)
+        e^{i(alpha-gamma)/2}.  The beta arrays have shape (beta,), the phases
+        (alpha, gamma).  All four are new read-only arrays on every call.
+        """
+        al, ga = self.alpha[:, None], self.gamma[None, :]
+        cb, sb = np.cos(self.beta / 2), np.sin(self.beta / 2)
+        return _read_only(cb, sb, np.exp(1j * ((al + ga) / 2)), np.exp(1j * ((al - ga) / 2)))
 
     def element_arrays(self):
-        """Flattened (a, b) arrays of the rule's elements."""
-        return self._elements
-
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Weighted sum over the rule's nodes (fixed summation order)."""
-        return np.dot(self.weights, values)
+        """Flattened (a, b) arrays of the rule's elements, in (alpha, beta, gamma)
+        C order: new read-only arrays on every call, kept by no one."""
+        cb, sb, phase_sum, phase_dif = self.planes()
+        a = cb[None, :, None] * phase_sum[:, None, :]
+        b = sb[None, :, None] * phase_dif[:, None, :]
+        return _read_only(a.ravel(), b.ravel())
 
 
 @lru_cache(maxsize=32)
@@ -291,7 +291,7 @@ def weyl_grid(order: int, cusps=()) -> WeylRule:
         raise ValueError("order must be >= 2")
     t, w = gauss_panels(_panel_edges(order, cusps), _PANEL_NODES)
     t, w = t.ravel(), w.ravel()
-    return WeylRule(order=order, nodes=t, weights=w * (2.0 / np.pi) * np.sin(t) ** 2)
+    return WeylRule(nodes=t, weights=w * (2.0 / np.pi) * np.sin(t) ** 2)
 
 
 def haar_grid(order: int) -> QuadratureRule:
@@ -315,4 +315,4 @@ def haar_grid(order: int) -> QuadratureRule:
     xg, wg = _gauss_legendre(nb)
     be = 0.5 * (xg + 1) * np.pi
     wb = 0.5 * np.pi * wg * np.sin(be) / 2.0  # int_0^pi sin = 2
-    return QuadratureRule(order=order, alpha=al, beta=be, w_beta=wb, gamma=ga)
+    return QuadratureRule(alpha=al, beta=be, w_beta=wb, gamma=ga)

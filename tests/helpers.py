@@ -1,6 +1,8 @@
-"""Group samples and the benchmark tracer, shared by the test suites."""
+"""Group samples, the Haar rule's flat weights and the benchmark modules,
+shared by the test suites."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,16 @@ from su2fourier.group import GroupElement, random_elements
 def random_element(rng):
     a, b = random_elements(rng, 1)
     return GroupElement(complex(a[0]), complex(b[0]))
+
+
+def haar_weights(rule):
+    """The Euler rule's weights flattened in (alpha, beta, gamma) C order.
+
+    The oracle beside ``rule.element_arrays()``: np.dot(haar_weights(rule),
+    values) integrates values given on those flat arrays.
+    """
+    na, nb, ng = len(rule.alpha), len(rule.beta), len(rule.gamma)
+    return np.broadcast_to(rule.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
 
 
 def _normalized(q):
@@ -27,10 +39,34 @@ elements = (
 )
 
 
-def load_spans():
-    """bench/spans.py as a module, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    """bench/spans.py as a module, loaded from its file."""
+    return _load_bench("spans")
+
+
+def load_workloads():
+    """bench/workloads.py as a module, loaded from its file.
+
+    It imports its sibling ``reference`` by plain name, as ``bench/run.py``
+    lets it with ``bench/`` on the path; that name is bound here only while
+    workloads.py loads.
+    """
+    saved = sys.modules.get("reference")
+    sys.modules["reference"] = _load_bench("reference")
+    try:
+        return _load_bench("workloads")
+    finally:
+        if saved is None:
+            del sys.modules["reference"]
+        else:
+            sys.modules["reference"] = saved

@@ -34,6 +34,7 @@ from su2fourier.convergence import (
 )
 from su2fourier.cli import run
 
+from helpers import haar_weights
 from holder_quotients import holder_quotient_estimate
 
 
@@ -75,7 +76,7 @@ def test_criterion_2_orthogonality():
     for n, Pi in enumerate(repr_matrices(6, a, b)):
         cols.extend(np.sqrt(n + 1) * Pi[:, i, j] for i in range(n + 1) for j in range(n + 1))
     E = np.stack(cols, axis=1)
-    schur_err = float(np.abs((E * hrule.weights[:, None]).conj().T @ E - np.eye(E.shape[1])).max())
+    schur_err = float(np.abs((E * haar_weights(hrule)[:, None]).conj().T @ E - np.eye(E.shape[1])).max())
     _report(
         "C2 orthogonality",
         char_err <= 1e-11 and schur_err <= 1e-8,

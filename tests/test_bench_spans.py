@@ -1,13 +1,18 @@
-"""The benchmark's tracer (bench/spans.py) hooks names of this package.
+"""The benchmark's tracer (bench/spans.py) hooks names of this package, and
+its workloads (bench/workloads.py) call them.
 
-Renaming a traced function or method fails here, not only in a traced
+Renaming or deleting a traced or called name fails here, not only in a
 benchmark run.
 """
+
+import pytest
 
 import su2fourier
 import su2fourier.cli  # noqa: F401  (the tracer hooks cli functions too)
 
-from helpers import load_spans as _load_spans
+from helpers import load_spans as _load_spans, load_workloads
+
+_WORKLOADS = load_workloads().WORKLOADS
 
 
 def test_tracer_installs_every_hook_and_restores_the_originals():
@@ -34,3 +39,16 @@ def test_tracer_installs_every_hook_and_restores_the_originals():
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[key] is value for key, value in saved.items())
+
+
+@pytest.mark.parametrize("name", list(_WORKLOADS))
+def test_workload_first_pass_runs_and_checks_against_the_package(name, tmp_path):
+    # set-up, pass 0 and each task's own check, as one benchmark pass runs them
+    workload = _WORKLOADS[name](su2fourier, 0, str(tmp_path))
+    workload.setup()
+    workload.references()
+    tasks = workload.tasks(0)
+    assert tasks
+    for label, call in tasks:
+        _, ok = workload.check(label, call())
+        assert ok, label

@@ -195,6 +195,10 @@ def test_usage_error_exit_code(capsys):
         ["rm-sum", "--j", "-1"],
         ["jackson", "--k", "-2"],
         ["lebesgue", "--n=-1,-2"],
+        ["chain", "--n", "2", "--alpha", "3"],
+        ["chain", "--n", "2", "--alpha", "-1"],
+        ["chain", "--n", "2", "--alpha", "0"],
+        ["chain", "--n", "2", "--alpha", "nan"],
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()
@@ -261,6 +265,10 @@ def test_points_spec_without_a_positive_count_is_usage_error(spec, capsys):
         ("char:", "needs an argument"),
         ("holder:", "needs an argument"),
         ("holder", "needs an argument"),
+        ("char:abc", "needs an integer, got 'abc'"),
+        ("sawtooth:2.5", "needs an integer, got '2.5'"),
+        ("holder:abc", "needs a number, got 'abc'"),
+        ("const:x", "needs a number, got 'x'"),
     ],
 )
 def test_function_spec_argument_mismatch_is_usage_error(spec, problem, capsys):

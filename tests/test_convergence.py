@@ -32,7 +32,7 @@ from su2fourier.convergence import (
     uniform_error_central,
 )
 
-from helpers import random_element
+from helpers import haar_weights, random_element
 
 
 def random_translation(rng, radius):
@@ -197,7 +197,7 @@ def _non_central(a, b):
 
 @pytest.mark.parametrize("order", [12, 24, 48])
 def test_translate_norm_slabs_match_element_array_oracle(order):
-    # the beta-slab path against the flat element arrays and weights of the rule
+    # the beta-slab path against the rule's flat element arrays and weights
     rng = np.random.default_rng(order)
     z = random_element(rng)
     inputs = [
@@ -209,11 +209,12 @@ def test_translate_norm_slabs_match_element_array_oracle(order):
     ]
     rule = haar_grid(order)
     a, b = rule.element_arrays()
+    w = haar_weights(rule)
     for f in inputs:
         for r in (0.1, 0.7, 2.0):
             for h in _sampled_translations(rng, r, 2):
                 sq = np.abs(delta_translate(f, h)(a, b)) ** 2
-                want = float(np.sqrt(np.real(rule.integrate(sq))))
+                want = float(np.sqrt(np.real(np.dot(w, sq))))
                 got = translate_norm_quadrature(f, h, rule)
                 assert got == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -224,8 +225,7 @@ def test_general_modulus_does_not_materialise_the_rule():
     for f in (left_translate(sawtooth(4), random_element(rng)), _non_central):
         integral_modulus(f, 0.5, sample_count=2, seed=1, rule=rule)
         modulus_profile(f, 0.2, 0.8, per_decade=2, sample_count=2, seed=1, rule=rule)
-    assert "_elements" not in vars(rule)
-    assert "weights" not in vars(rule)
+    assert set(vars(rule)) == {"alpha", "beta", "w_beta", "gamma"}
 
 
 def _nested_translate(f, z):
@@ -243,11 +243,12 @@ def test_integral_modulus_of_composed_translate_matches_nested(t):
     rule = haar_grid(24)
     count, seed = 3, 6
     a, b = rule.element_arrays()
+    w = haar_weights(rule)
     fz = _nested_translate(f, z)
     base = fz(a, b)
     directions = np.random.default_rng(seed)
     want = max(
-        float(np.sqrt(np.real(rule.integrate(np.abs(base - _nested_translate(fz, h.inverse())(a, b)) ** 2))))
+        float(np.sqrt(np.real(np.dot(w, np.abs(base - _nested_translate(fz, h.inverse())(a, b)) ** 2))))
         for r in t * np.array([1.0, 0.5, 0.25])
         for h in _sampled_translations(directions, r, count)
     )

@@ -196,6 +196,15 @@ def test_chain_underresolved_rule_reports_not_raises():
     assert not rep.ok(1e-8)
 
 
+def test_chain_holder_exponent_must_lie_in_unit_interval():
+    # holder_bound interpolates between the Lipschitz and the sup bound, so
+    # it holds for 0 < alpha <= 1 only
+    assert verify_chain(2, alpha=1.0).lip_norm_bound == np.pi / 7 + np.pi / 2
+    for alpha in (0.0, -1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            verify_chain(2, alpha=alpha)
+
+
 # ---------------------------------------------------------------- growth and tables
 
 def test_monotone_blowup_along_diagonal():

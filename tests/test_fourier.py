@@ -47,7 +47,7 @@ from su2fourier.fourier import (
 from su2fourier.convergence import holder_test_function, sqrt_shift_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints
 
-from helpers import elements, random_element
+from helpers import elements, haar_weights, random_element
 
 
 # ---------------------------------------------------------------- coefficients
@@ -268,7 +268,7 @@ def test_coeff_matrix_central_scalar_blocks():
 def _matrix_coeffs_oracle(fg, n_max, rule):
     # the direct weighted sum over the flattened rule, one degree at a time
     a, b = rule.element_arrays()
-    vals = fg(a, b) * rule.weights
+    vals = fg(a, b) * haar_weights(rule)
     return [np.einsum("x,xpq->qp", vals, np.conj(Pi)) for Pi in repr_matrices(n_max, a, b)]
 
 

@@ -21,7 +21,7 @@ from su2fourier.group import (
 from su2fourier import group
 from su2fourier.representations import char_eval
 
-from helpers import elements, random_element
+from helpers import elements, haar_weights, random_element
 
 
 def exp_element(c, beta):
@@ -230,27 +230,27 @@ def test_weyl_rejects_tiny_order():
 # ---------------------------------------------------------------- haar rule
 
 def test_haar_mass():
-    assert abs(haar_grid(8).weights.sum() - 1) < 1e-13
+    assert abs(haar_weights(haar_grid(8)).sum() - 1) < 1e-13
 
 
 def test_haar_kills_characters():
     r = haar_grid(8)
     a, b = r.element_arrays()
     th = np.arccos(np.clip(a.real, -1, 1))
-    assert abs(r.integrate(char_eval(1, th))) < 1e-10
+    assert abs(np.dot(haar_weights(r), char_eval(1, th))) < 1e-10
 
 
 def test_haar_matrix_entry_second_moment():
     # |a(x)|^2 is |pi_1[0,0]|^2; Schur gives 1/(1+1)
     r = haar_grid(8)
     a, _ = r.element_arrays()
-    assert r.integrate(np.abs(a) ** 2) == pytest.approx(0.5, abs=1e-10)
+    assert np.dot(haar_weights(r), np.abs(a) ** 2) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_haar_flat_view_matches_axes():
     r = haar_grid(4)
     a, b = r.element_arrays()
-    assert len(r) == len(r.weights) == len(a)
+    assert len(r) == len(haar_weights(r)) == len(a)
     assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1).max() < 1e-14
 
 
@@ -262,8 +262,20 @@ def test_haar_flat_arrays_follow_euler_parametrization():
     a, b = r.element_arrays()
     assert np.array_equal(a, np.cos(B / 2) * np.exp(1j * (A + G) / 2))
     assert np.array_equal(b, np.sin(B / 2) * np.exp(1j * (A - G) / 2))
-    w = np.broadcast_to(r.w_beta[None, :, None], (len(r.alpha), len(r.beta), len(r.gamma)))
-    assert np.array_equal(r.weights, w.ravel() / (len(r.alpha) * len(r.gamma)))
+
+
+def test_haar_rule_is_its_axes_and_builds_fresh_arrays():
+    # element_arrays() and planes() keep nothing on the rule: each call builds
+    # new read-only arrays, and the rule holds its four axes only
+    r = haar_grid(6)
+    first, second = r.element_arrays(), r.element_arrays()
+    for x, y in zip(first, second):
+        assert x is not y and not np.shares_memory(x, y)
+        assert np.array_equal(x, y)
+        assert not x.flags.writeable and not y.flags.writeable
+    for x, y in zip(r.planes(), r.planes()):
+        assert x is not y and np.array_equal(x, y)
+    assert set(vars(r)) == {"alpha", "beta", "w_beta", "gamma"}
 
 
 _RULE_ARRAYS = {
@@ -273,7 +285,10 @@ _RULE_ARRAYS = {
     "haar.beta": lambda: haar_grid(8).beta,
     "haar.w_beta": lambda: haar_grid(8).w_beta,
     "haar.gamma": lambda: haar_grid(8).gamma,
-    "haar.weights": lambda: haar_grid(8).weights,
+    "haar.planes.cos": lambda: haar_grid(8).planes()[0],
+    "haar.planes.sin": lambda: haar_grid(8).planes()[1],
+    "haar.planes.phase_sum": lambda: haar_grid(8).planes()[2],
+    "haar.planes.phase_dif": lambda: haar_grid(8).planes()[3],
     "haar.elements.a": lambda: haar_grid(8).element_arrays()[0],
     "haar.elements.b": lambda: haar_grid(8).element_arrays()[1],
 }
@@ -281,7 +296,8 @@ _RULE_ARRAYS = {
 
 @pytest.mark.parametrize("name", list(_RULE_ARRAYS))
 def test_rule_arrays_are_read_only(name):
-    # every caller shares these arrays: a write would change later integrals
+    # every caller shares the stored arrays (a write would change later
+    # integrals); the built ones are read-only alike
     arr = _RULE_ARRAYS[name]()
     with pytest.raises(ValueError):
         arr[0] = 0

@@ -17,7 +17,7 @@ from su2fourier.representations import (
     wigner_d,
 )
 
-from helpers import random_element
+from helpers import haar_weights, random_element
 
 
 # ---------------------------------------------------------------- characters
@@ -163,7 +163,7 @@ def test_schur_orthogonality():
     # (n+1) int pi_n[i,j] conj(pi_m[k,l]) dmu = delta_{nm} delta_{ik} delta_{jl}
     rule = haar_grid(16)
     a, b = rule.element_arrays()
-    w = rule.weights
+    w = haar_weights(rule)
     cols, labels = [], []
     for n, Pi in enumerate(repr_matrices(6, a, b)):
         for i in range(n + 1):

@@ -58,7 +58,7 @@ def test_central_slab_is_the_class_angle_of_the_two_planes():
     P = np.real(Z.a * np.exp(1j * ((al + ga) / 2)))
     Q = -np.real(Z.b * np.exp(-1j * ((al - ga) / 2)))
     cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
-    slab, split = fourier._euler_slabs(left_translate(g, Z), fourier._euler_planes(rule))
+    slab, split = fourier._euler_slabs(left_translate(g, Z), rule.planes())
     assert split
     for ib in range(len(rule.beta)):
         want = g.fn(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None))
@@ -92,7 +92,7 @@ def test_modulus_split_is_bitwise_the_serial_loop(monkeypatch, cpus):
 
 def _serial_translate_norms(f, hs, rule):
     """The single-threaded slab loop: sq += w_beta * sum |f - f(h^{-1} .)|^2."""
-    planes = fourier._euler_planes(rule)
+    planes = rule.planes()
     slab, _ = fourier._euler_slabs(f, planes)
     norms = []
     for h in hs:
@@ -283,7 +283,7 @@ def test_band_limited_profile_runs_on_the_calling_thread_only(monkeypatch):
 
     band.fn = profile
     f = left_translate(band, Z)
-    assert not fourier._euler_slabs(f, fourier._euler_planes(RULE))[1]
+    assert not fourier._euler_slabs(f, RULE.planes())[1]
     matrix_coeffs(f, 2, RULE)
     integral_modulus(f, 0.3, sample_count=2, rule=RULE)
     assert len(threads) > len(RULE.beta)
