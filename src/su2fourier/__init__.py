@@ -46,7 +46,6 @@ from .fourier import (
 from .divergence import (
     ChainReport,
     divergence_table,
-    functional_split,
     holder_bound,
     partial_sum_at_identity,
     sawtooth,
@@ -56,7 +55,6 @@ from .divergence import (
 from .convergence import (
     ModulusProfile,
     best_approx,
-    delta_translate,
     dini_integral,
     holder_test_function,
     integral_modulus,

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .group import GroupElement, haar_grid, random_elements
+from .group import IDENTITY, GroupElement, haar_grid, random_elements
 from .representations import char_table
 from .fourier import (
     CentralFn,
@@ -50,7 +50,6 @@ from .convergence import (
 
 __all__ = ["run", "main"]
 
-CHAIN_MARGIN_TOL = 1e-8
 CHAIN_IDENTITY_TOL = 1e-10
 DIVERGE_GAP_TOL = 1e-4
 
@@ -125,7 +124,7 @@ def parse_central_fn(spec: str) -> CentralFn:
 def parse_points(spec: str, seed: int) -> list[GroupElement]:
     """"random:K" (K >= 1 Haar samples from the seed) or "e" (the identity)."""
     if spec == "e":
-        return [GroupElement(1.0 + 0j, 0.0 + 0j)]
+        return [IDENTITY]
     kind, _, arg = spec.partition(":")
     if kind == "random":
         if not arg.isdigit() or int(arg) < 1:
@@ -177,6 +176,8 @@ def _resolve_output(path: str | None) -> str | None:
 # --------------------------------------------------------------------------
 
 def _cmd_kernel_check(args):
+    if not 0 <= args.exclude < np.pi / 2:  # NaN fails this test too
+        raise ValueError(f"--exclude must lie in [0, pi/2), got {args.exclude!r}")
     th = np.linspace(args.exclude, np.pi - args.exclude, args.grid)
     table = char_table(args.n_max, th)
     weighted = (np.arange(args.n_max + 1)[:, None] + 1.0) * table
@@ -212,7 +213,7 @@ def _cmd_chain(args):
     rows, failures = [], []
     for n in args.n:
         rep = verify_chain(n, nodes_per_cell=args.nodes_per_cell, alpha=args.alpha)
-        ok = rep.ok(CHAIN_MARGIN_TOL) and rep.identity_error <= CHAIN_IDENTITY_TOL
+        ok = rep.ok() and rep.identity_error <= CHAIN_IDENTITY_TOL
         rows.append({c: getattr(rep, c) for c in _CHAIN_COLUMNS} | {"ok": ok})
         if not ok:
             failures.append(

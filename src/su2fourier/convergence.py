@@ -8,10 +8,13 @@ the Dini-type integral int_0^1 Omega^2(f, t)/t dt, the best approximation
 E_M(f) = ||f - S_M f||_{L^2} (a Parseval tail), the Jackson quotient
 E_{2^k}(f) / Omega(f, 2^{-k}) (bounded by Jackson's theorem, constant not
 specified there, recorded empirically here), and the log-weighted block sum
-sum_{j>=2} log(j) ||Gamma_j f||^2 whose finiteness triggers the
-Rademacher-Menshov criterion.  On SU(2) with the fundamental-weight
-truncations the blocks Gamma_j are the single representations, so block
-energy is just |c_j|^2; this collapse would not happen for general groups.
+sum_{j>=2} log(j) ||Gamma_j f||^2.  That weight suffices for trigonometric
+series (Kolmogorov-Seliverstov 1925, Plessner 1926); the Rademacher-Menshov
+criterion for general orthogonal series needs log^2(j) (Rademacher, Math.
+Ann. 87, 1922; Menshov, Fund. Math. 4, 1923).  On SU(2) with the
+fundamental-weight truncations the blocks Gamma_j are the single
+representations, so block energy is just |c_j|^2; this collapse would not
+happen for general groups.
 
 For central f the translate difference has the exact coefficient form
 
@@ -40,16 +43,16 @@ callers, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gamma, pi, sqrt
 
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import CentralFn, _translate_norms, left_translate, partial_sum_central
+from .fourier import CentralFn, _translate_norms, partial_sum_central
 from .representations import char_table
 
 __all__ = [
-    "delta_translate",
     "translate_norm_quadrature",
     "central_translate_norm",
     "integral_modulus",
@@ -67,20 +70,6 @@ __all__ = [
 
 DEFAULT_COEFF_LIMIT = 4096
 _STRATA = np.array([1.0, 0.5, 0.25])  # integral_modulus samples radii t * _STRATA
-
-
-def delta_translate(f, h: GroupElement):
-    """x -> f(x) - f(h^{-1} x) as a batch callable on (a, b) arrays."""
-    fg = f.on_group if isinstance(f, CentralFn) else f
-    translated = left_translate(f, h.inverse())
-    return lambda a, b: fg(a, b) - translated(a, b)
-
-
-def _translations(rng: np.random.Generator, r: float, count: int) -> list:
-    """exp(r X) for ``count`` uniform unit directions X drawn from rng."""
-    cs, betas = random_directions(rng, count)
-    ah, bh = exp_arrays(r * cs, r * betas)
-    return [GroupElement(complex(x), complex(y)) for x, y in zip(ah, bh)]
 
 
 def translate_norm_quadrature(f, h: GroupElement, rule: QuadratureRule) -> float:
@@ -101,6 +90,26 @@ def central_translate_norm(coeffs: np.ndarray, r) -> np.ndarray | float:
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
+def _largest_translate_norms(f, radii, rng_for_radius, sample_count: int, rule) -> np.ndarray:
+    """max ||delta_h f|| over the sampled h = exp(r X), ||X|| = 1, at each radius r.
+
+    Central f takes the exact coefficient form on its first
+    DEFAULT_COEFF_LIMIT + 1 coefficients.  General f draws ``sample_count``
+    directions X at each radius from the generator ``rng_for_radius()``
+    returns, and measures every translate in one ``_translate_norms`` call
+    over the Haar ``rule``.
+    """
+    if isinstance(f, CentralFn):
+        return central_translate_norm(f.coeffs(DEFAULT_COEFF_LIMIT), radii)
+    hs = []
+    for r in radii:
+        cs, betas = random_directions(rng_for_radius(), sample_count)
+        ah, bh = exp_arrays(r * cs, r * betas)
+        hs += [GroupElement(complex(x), complex(y)) for x, y in zip(ah, bh)]
+    norms = np.reshape(_translate_norms(f, hs, rule), (len(radii), sample_count))
+    return norms.max(axis=1, initial=0.0)  # norms are >= 0, so 0.0 only fills in for no samples
+
+
 def integral_modulus(
     f,
     t: float,
@@ -111,20 +120,15 @@ def integral_modulus(
     """Lower estimate of Omega(f, t) = sup over translations of amplitude <= t.
 
     The radii are the strata {t, t/2, t/4}.  Central f goes through the exact
-    coefficient form on its first DEFAULT_COEFF_LIMIT + 1 coefficients, where
-    the direction of X is provably irrelevant, and ignores ``sample_count``,
-    ``seed`` and ``rule``.  General f needs the Haar ``rule`` and samples
-    ``sample_count`` directions per radius from one generator seeded with
-    ``seed``, evaluating f on the rule once per call.
+    coefficient form, where the direction of X is provably irrelevant, and
+    ignores ``sample_count``, ``seed`` and ``rule``.  General f needs the
+    Haar ``rule`` and samples ``sample_count`` directions per radius from one
+    generator seeded with ``seed``.
     """
     if not 0 < t <= np.pi:
         raise ValueError("t must lie in (0, pi]")
-    if isinstance(f, CentralFn):
-        c = f.coeffs(DEFAULT_COEFF_LIMIT)
-        return float(np.max(central_translate_norm(c, t * _STRATA)))
-    rng = np.random.default_rng(seed)
-    hs = [h for r in t * _STRATA for h in _translations(rng, r, sample_count)]
-    return max(_translate_norms(f, hs, rule), default=0.0)
+    shared = cache(lambda: np.random.default_rng(seed))
+    return float(np.max(_largest_translate_norms(f, t * _STRATA, shared, sample_count, rule)))
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,10 @@ def modulus_profile(
 
     The radii must satisfy 0 < t_min <= t_max <= pi, and per_decade >= 1.
     Each Omega(t) is the running supremum over all grid radii <= t, so the
-    profile is monotone by construction (nested sampling).  Central f uses
-    the exact coefficient form on DEFAULT_COEFF_LIMIT + 1 coefficients.
-    General f needs the Haar ``rule`` and samples ``sample_count`` directions
-    per radius, each radius from a fresh generator seeded with ``seed``; f is
-    evaluated on the rule once per call.
+    profile is monotone by construction (nested sampling).  Central f
+    ignores ``sample_count``, ``seed`` and ``rule``.  General f needs the
+    Haar ``rule`` and samples ``sample_count`` directions per radius, each
+    radius from a fresh generator seeded with ``seed``.
     """
     if not 0 < t_min <= t_max <= np.pi:
         raise ValueError(f"radii must satisfy 0 < t_min <= t_max <= pi, got {t_min}, {t_max}")
@@ -165,14 +168,7 @@ def modulus_profile(
     decades = np.log10(t_max / t_min)
     count = int(np.ceil(per_decade * decades)) + 1
     ts = np.geomspace(t_min, t_max, count)
-    if isinstance(f, CentralFn):
-        c = f.coeffs(DEFAULT_COEFF_LIMIT)
-        vals = central_translate_norm(c, ts)
-    else:
-        hs = [h for t in ts for h in _translations(np.random.default_rng(seed), t, sample_count)]
-        norms = _translate_norms(f, hs, rule)
-        k = sample_count
-        vals = np.array([max(norms[i * k : (i + 1) * k], default=0.0) for i in range(count)])
+    vals = _largest_translate_norms(f, ts, lambda: np.random.default_rng(seed), sample_count, rule)
     omega = np.maximum.accumulate(vals)
     return ModulusProfile(t_values=ts[::-1].copy(), omega_values=omega[::-1].copy())
 
@@ -242,8 +238,10 @@ def jackson_ratio(f: CentralFn, k: int) -> JacksonPoint:
 def log_weighted_block_sum(coeffs: np.ndarray, J: int) -> float:
     """sum_{j=2}^{J} log(j) |c_j|^2 (polyhedral blocks are singletons here).
 
-    Indices beyond the stored coefficients contribute nothing, so for
-    band-limited data the sum plateaus at the band edge.
+    The weight is the single log of Kolmogorov-Seliverstov and Plessner, not
+    the log^2(j) of Rademacher-Menshov (see the module docstring).  Indices
+    beyond the stored coefficients contribute nothing, so for band-limited
+    data the sum plateaus at the band edge.
     """
     if J < 2:
         return 0.0

@@ -40,10 +40,10 @@ The functional-norm growth is scale invariant, so either normalization
 witnesses divergence; ``holder_bound`` and ``verify_chain`` report the
 normalized family.
 
-``verify_chain`` recomputes every link of this inequality chain numerically
-and reports signed margins.  All the integrals run on the exact breakpoint
-partition (per cell the integrand is linear times trigonometric, so a fixed
-8-node Gauss rule per cell is exact to machine precision).
+``verify_chain`` evaluates the split and every link of this chain, with
+signed margins.  All the integrals run on the exact breakpoint partition
+(per cell the integrand is linear times trigonometric, so a fixed 8-node
+Gauss rule per cell is exact to machine precision).
 
 Left translation L_z f(y) = f(z y) moves the blow-up point: the partial sums
 satisfy S_n(L_z f)(x) = S_n f(z x), so the translated witnesses blow up at
@@ -72,8 +72,6 @@ __all__ = [
     "sawtooth_breakpoints",
     "sawtooth_normalized",
     "holder_bound",
-    "FunctionalSplit",
-    "functional_split",
     "ChainReport",
     "verify_chain",
     "partial_sum_at_identity",
@@ -129,50 +127,12 @@ def holder_bound(n, alpha):
 # the two-integral split of S_n f_n(e) and the inequality chain
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionalSplit:
-    """S_n f_n(e) as (bounded term) - (oscillatory term)."""
-
-    n: int
-    bounded_term: float
-    oscillatory_term: float
-
-    @property
-    def value(self) -> float:
-        return self.bounded_term - self.oscillatory_term
-
-
-def _witness_cells(n: int, nodes_per_cell: int):
-    """Gauss nodes tt, weights ww and witness values g on the breakpoint cells."""
-    th, va = sawtooth_breakpoints(n)
-    tt, ww = gauss_panels(th, nodes_per_cell)
-    return tt, ww, np.interp(tt, th, va)
-
-
-def _split_on_cells(n: int, tt, ww, g) -> FunctionalSplit:
-    """Both integrals of the split on the cells of ``_witness_cells``."""
-    D = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
-    bounded = float(np.sum(ww * g * np.cos(tt / 2) ** 2 * D) / np.pi)
-    osc = float(
-        np.sum(ww * g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)) * (2 * n + 3) / np.pi
-    )
-    return FunctionalSplit(n=n, bounded_term=bounded, oscillatory_term=osc)
-
-
-def functional_split(n: int, nodes_per_cell: int = 8) -> FunctionalSplit:
-    """Evaluate both plain-d(theta) integrals of the split on the breakpoint cells.
-
-    The integrands are (linear) x (trig of frequency <= n+2) per cell, so the
-    per-cell Gauss rule is exact to machine precision; the two-term total
-    must agree with the coefficient path for S_n f_n(e).
-    """
-    return _split_on_cells(n, *_witness_cells(n, nodes_per_cell))
-
-
 @dataclass
 class ChainReport:
-    """Signed margins for every link of the lower-bound chain at index n.
+    """The split of S_n f_n(e) and signed margins for every link of its chain.
 
+    ``value`` = ``bounded_term`` - ``oscillatory_term`` is S_n f_n(e); it must
+    agree with the coefficient path ``partial_sum_at_identity``.
     intervals[k] = (lhs integral over I_k, analytic lower bound, margin).
     ``final_lower_bound`` is the summed bound (D_{n+1}(pi/(2n+3)) - 1)/3 on
     the oscillatory term.  ``identity_error`` is |cosine sum - (D-1)/2|.
@@ -205,7 +165,7 @@ class ChainReport:
 
 
 def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainReport:
-    """Recompute the inequality chain; margins < 0 flag quadrature trouble.
+    """Evaluate the split and its inequality chain; margins < 0 flag quadrature trouble.
 
     Margin violations are reported, not raised: with adequate per-cell nodes
     every margin is a true inequality, so a violation signals an
@@ -216,9 +176,12 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     if not 0.0 < alpha <= 1.0:  # NaN fails this test too
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     M = 2 * n + 3
-    tt, ww, g = _witness_cells(n, nodes_per_cell)
-    integrand = g * np.cos((n + 1.5) * tt) * np.cos(tt / 2)
-    cell_vals = np.sum(ww * integrand, axis=1)
+    th, va = sawtooth_breakpoints(n)
+    tt, ww = gauss_panels(th, nodes_per_cell)
+    g = np.interp(tt, th, va)
+    h = np.cos((n + 1.5) * tt)
+    half = np.cos(tt / 2)
+    cell_vals = np.sum(ww * (g * h * half), axis=1)
     lhs = cell_vals[: n + 1]
     ks = np.arange(n + 1)
     rhs = (2 * np.pi / (3 * M)) * np.cos((ks + 1) * np.pi / M)
@@ -229,7 +192,10 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     D = float(1 / np.sin(np.pi / (2 * M)))  # D_{n+1}(pi/M), see the module docstring
     identity_error = abs(cosine_sum - (D - 1) / 2)
 
-    split = _split_on_cells(n, tt, ww, g)
+    # the split: both products form ww * g first, as the published payloads round it
+    kernel = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
+    bounded = float(np.sum(ww * g * half**2 * kernel) / np.pi)
+    osc = float(np.sum(ww * g * h * half) * M / np.pi)
     summed = float(np.sum(rhs))  # tail bound is 0
     final = (D - 1) / 3  # = (M/pi) * summed via the cosine identity
     floor = 2 * M / np.pi
@@ -237,8 +203,8 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     margins = {
         "intervals": float(intervals[:, 2].min()),
         "tail": tail,
-        "oscillatory_vs_final": split.oscillatory_term - final,
-        "bounded_vs_lebesgue": leb - abs(split.bounded_term),
+        "oscillatory_vs_final": osc - final,
+        "bounded_vs_lebesgue": leb - abs(bounded),
         "dirichlet_floor": D - floor,
     }
     return ChainReport(
@@ -251,9 +217,9 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
         summed_bound=summed,
         final_lower_bound=final,
         dirichlet_floor=floor,
-        bounded_term=split.bounded_term,
-        oscillatory_term=split.oscillatory_term,
-        value=split.value,
+        bounded_term=bounded,
+        oscillatory_term=osc,
+        value=bounded - osc,
         lebesgue=leb,
         lip_norm_bound=np.pi / M + float(holder_bound(n, alpha)),
         margins=margins,

@@ -170,7 +170,7 @@ class CentralFn:
         if self.breakpoints is not None:
             return _pl_norm_sq(*self.breakpoints)
         rule = weyl_grid(order=520, cusps=self.cusps)
-        return float(np.real(rule.integrate(np.abs(self.fn(rule.nodes)) ** 2)))
+        return float(np.real(np.dot(rule.weights, np.abs(self.fn(rule.nodes)) ** 2)))
 
 
 def char_fn(n: int) -> CentralFn:
@@ -184,6 +184,8 @@ def char_fn(n: int) -> CentralFn:
 
 
 def const_fn(value: float = 1.0) -> CentralFn:
+    if not np.isfinite(value):
+        raise ValueError(f"constant value must be finite, got {value!r}")
     return CentralFn(
         fn=lambda th: np.full_like(np.asarray(th, dtype=float), value),
         name=f"const:{value}",

@@ -89,8 +89,7 @@ class GroupElement:
     b: complex
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        a = self.a * other.a - self.b * np.conj(other.b)
-        b = self.a * other.b + self.b * np.conj(other.a)
+        a, b = mul_arrays(self.a, self.b, other.a, other.b)
         return GroupElement(complex(a), complex(b))
 
     def inverse(self) -> "GroupElement":
@@ -120,7 +119,7 @@ def make_element(a: complex, b: complex) -> GroupElement:
 
 def conj_angle(x: GroupElement) -> float:
     """Conjugacy angle theta in [0, pi]; x is conjugate to omega(theta)."""
-    return float(np.arccos(np.clip(x.a.real, -1.0, 1.0)))
+    return float(conj_angle_arrays(x.a, x.b))
 
 
 def conj_angle_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,10 +192,6 @@ class WeylRule:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Weighted sum over the rule's nodes (fixed summation order)."""
-        return np.dot(self.weights, values)
 
 
 @dataclass(frozen=True, eq=False)

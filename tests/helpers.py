@@ -1,5 +1,5 @@
-"""Group samples, the Haar rule's flat weights and the benchmark modules,
-shared by the test suites."""
+"""Group samples, the Haar rule's flat weights, the translate difference and
+the benchmark modules, shared by the test suites."""
 
 import importlib.util
 import sys
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from su2fourier.fourier import CentralFn, left_translate
 from su2fourier.group import GroupElement, random_elements
 
 
@@ -24,6 +25,17 @@ def haar_weights(rule):
     """
     na, nb, ng = len(rule.alpha), len(rule.beta), len(rule.gamma)
     return np.broadcast_to(rule.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
+
+
+def delta_translate(f, h: GroupElement):
+    """x -> f(x) - f(h^{-1} x) as a batch callable on (a, b) arrays.
+
+    The oracle beside ``convergence.translate_norm_quadrature``, evaluated on
+    the rule's flat element arrays.
+    """
+    fg = f.on_group if isinstance(f, CentralFn) else f
+    translated = left_translate(f, h.inverse())
+    return lambda a, b: fg(a, b) - translated(a, b)
 
 
 def _normalized(q):

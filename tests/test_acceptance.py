@@ -18,7 +18,6 @@ from su2fourier.fourier import (
 )
 from su2fourier.divergence import (
     divergence_table,
-    functional_split,
     holder_bound,
     partial_sum_at_identity,
     sawtooth,
@@ -130,7 +129,7 @@ def test_criterion_5_divergence_growth():
     details = []
     for n in (100, 200, 400, 800):
         exact = partial_sum_at_identity(n)
-        split = functional_split(n)
+        split = verify_chain(n)
         rel = abs(split.value - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         growth_ok = growth_ok and (abs(exact) >= 0.5 * n)

@@ -1,9 +1,11 @@
 """CLI: table formats, reproducibility, exit codes."""
 
 import json
+from types import ModuleType
 
 import pytest
 
+import su2fourier
 from su2fourier import cli, convergence, divergence, fourier, group, representations
 from su2fourier.cli import parse_central_fn, parse_int_list, run
 
@@ -199,11 +201,26 @@ def test_usage_error_exit_code(capsys):
         ["chain", "--n", "2", "--alpha", "-1"],
         ["chain", "--n", "2", "--alpha", "0"],
         ["chain", "--n", "2", "--alpha", "nan"],
+        ["partial-sum", "--fn", "const:nan"],
+        ["modulus", "--fn", "const:inf"],
+        ["partial-sum", "--fn", "const:1e400"],
+        ["kernel-check", "--exclude", "2"],
+        ["kernel-check", "--exclude", "-1"],
+        ["kernel-check", "--exclude", "nan"],
+        ["kernel-check", "--exclude", "1.5707963267948966"],
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("su2fourier: ")
+
+
+def test_kernel_check_accepts_the_whole_exclude_range(capsys):
+    # 0 runs the grid to both poles; just below pi/2 it shrinks to the equator
+    for exclude in ("0", "1.5"):
+        argv = ["kernel-check", "--n-max", "20", "--grid", "50", "--exclude", exclude]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -282,7 +299,20 @@ def test_function_spec_argument_mismatch_is_usage_error(spec, problem, capsys):
     "module", [group, representations, fourier, divergence, convergence, cli]
 )
 def test_every_exported_name_resolves(module):
-    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)  # a stale __all__ entry raises
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_every_package_name_is_exported_by_its_module():
+    exported = set().union(
+        *(m.__all__ for m in (group, representations, fourier, divergence, convergence))
+    )
+    public = [
+        name for name in vars(su2fourier)
+        if not name.startswith("_") and not isinstance(getattr(su2fourier, name), ModuleType)
+    ]
+    assert public and [name for name in public if name not in exported] == []
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ from su2fourier.convergence import (
     ModulusProfile,
     best_approx,
     central_translate_norm,
-    delta_translate,
     dini_integral,
     holder_test_function,
     integral_modulus,
@@ -32,7 +31,7 @@ from su2fourier.convergence import (
     uniform_error_central,
 )
 
-from helpers import haar_weights, random_element
+from helpers import delta_translate, haar_weights, random_element
 
 
 def random_translation(rng, radius):
@@ -472,7 +471,7 @@ def test_holder_family_norm_closed_form():
     for alpha in (0.3, 0.5, 0.8):
         f = holder_test_function(alpha)
         rule = weyl_grid(64, cusps=(np.pi / 2,))
-        quad = float(rule.integrate(f(rule.nodes) ** 2))
+        quad = float(np.dot(rule.weights, f(rule.nodes) ** 2))
         assert f.l2_norm_sq() == pytest.approx(quad, rel=1e-10)
 
 

@@ -7,7 +7,6 @@ from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.fourier import classical_dirichlet, lebesgue_constant
 from su2fourier.divergence import (
     divergence_table,
-    functional_split,
     holder_bound,
     partial_sum_at_identity,
     sawtooth,
@@ -39,7 +38,7 @@ def test_sawtooth_breakpoint_pattern():
 
 
 @pytest.mark.parametrize(
-    "entry", [sawtooth, sawtooth_normalized, functional_split, verify_chain]
+    "entry", [sawtooth, sawtooth_normalized, verify_chain]
 )
 def test_sawtooth_rejects_small_n(entry):
     for n in (0, 1, -3):
@@ -136,14 +135,14 @@ def test_holder_quotient_angle_function_oracle():
 
 @pytest.mark.parametrize("n", [2, 5, 17, 64, 100])
 def test_split_consistent_with_coefficient_path(n):
-    split = functional_split(n)
+    split = verify_chain(n)
     want = partial_sum_at_identity(n)
     assert abs(split.value - want) <= 1e-6 * abs(want)
 
 
 def test_split_bounded_term_below_lebesgue():
     for n in (2, 10, 50):
-        split = functional_split(n)
+        split = verify_chain(n)
         assert abs(split.bounded_term) <= lebesgue_constant(n) + 1e-10
 
 
@@ -152,7 +151,7 @@ def test_split_oscillatory_term_lower_bound():
     # oscillatory >= (D_{n+1}(pi/(2n+3)) - 1)/3.  (The factor is 1/3: the
     # cosine sum is half of D-1, not all of it.)
     for n in (2, 10, 100):
-        split = functional_split(n)
+        split = verify_chain(n)
         D = classical_dirichlet(n + 1, np.pi / (2 * n + 3))
         assert split.oscillatory_term >= (D - 1) / 3 - 1e-10
 
