@@ -4,11 +4,12 @@ Every table carries a metadata header (artifact version, the full parsed
 config, the seed, and a wall-clock stamp).  The payload region -- the header
 row plus data rows for CSV, the "rows" array for JSON -- has a fixed row
 order and column order, and floats are printed with 17 significant digits
-(exact double round-trip).  At a fixed BLAS thread count it is a function of
-config and seed alone, so only the wall-clock stamp in the metadata varies
-between runs.  The beta-slab threads of the 3D paths never change it, but
-the BLAS library's own thread count may move the last digits of a product
-(the central quadrature coefficients behind ``dini`` and ``jackson`` do).
+(exact double round-trip).  It is a function of config and seed alone, so
+only the wall-clock stamp in the metadata varies between runs.  Neither the
+beta-slab threads of the 3D paths nor the BLAS library's thread count
+changes it: every function spec has its coefficients in closed form, so no
+command reaches the quadrature coefficients, whose blocked matrix products
+may round differently with several BLAS threads.
 
 Exit codes: 0 success, 1 when a margin-style check fails (the offending rows
 are listed on stderr), 2 on usage errors.  The environment variable
@@ -86,39 +87,44 @@ def parse_float_list(text: str) -> list[float]:
     return _nonempty([float(p) for p in text.split(",") if p], text)
 
 
-_SPEC_NUMBERS = {"sawtooth": int, "char": int, "holder": float, "const": float}
+_SPEC_KINDS = {  # kind: (argument type, constructor)
+    "sawtooth": (int, sawtooth),
+    "char": (int, char_fn),
+    "holder": (float, holder_test_function),
+    "const": (float, const_fn),
+}
 
 
 def parse_central_fn(spec: str) -> CentralFn:
     """sawtooth:N | char:N | holder:ALPHA | sqrtshift | const[:V]
 
     sawtooth, char and holder need their argument, and sqrtshift takes none.
+    A value the constructor rejects (``holder:1.5``, ``const:1e400``) is a
+    usage error that quotes the spec.
     """
     kind, sep, arg = spec.partition(":")
-    if kind in ("sawtooth", "char", "holder") and not arg:
-        raise argparse.ArgumentTypeError(f"function spec {spec!r} needs an argument")
-    if kind == "sqrtshift" and sep:
-        raise argparse.ArgumentTypeError(f"function spec {spec!r} takes no argument")
-    number = _SPEC_NUMBERS.get(kind)
-    if number is not None and arg:
-        try:
-            value = number(arg)
-        except ValueError:
-            what = "an integer" if number is int else "a number"
-            raise argparse.ArgumentTypeError(
-                f"function spec {spec!r} needs {what}, got {arg!r}"
-            ) from None
-    if kind == "sawtooth":
-        return sawtooth(value)
-    if kind == "char":
-        return char_fn(value)
-    if kind == "holder":
-        return holder_test_function(value)
     if kind == "sqrtshift":
+        if sep:
+            raise argparse.ArgumentTypeError(f"function spec {spec!r} takes no argument")
         return sqrt_shift_fn()
-    if kind == "const":
-        return const_fn(value if arg else 1.0)
-    raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}")
+    if kind not in _SPEC_KINDS:
+        raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}")
+    number, make = _SPEC_KINDS[kind]
+    if not arg:
+        if kind != "const":
+            raise argparse.ArgumentTypeError(f"function spec {spec!r} needs an argument")
+        return const_fn(1.0)
+    try:
+        value = number(arg)
+    except ValueError:
+        what = "an integer" if number is int else "a number"
+        raise argparse.ArgumentTypeError(
+            f"function spec {spec!r} needs {what}, got {arg!r}"
+        ) from None
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"function spec {spec!r} is invalid: {exc}") from None
 
 
 def parse_points(spec: str, seed: int) -> list[GroupElement]:

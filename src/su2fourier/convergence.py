@@ -43,14 +43,13 @@ callers, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import gamma, pi, sqrt
+from functools import cache, partial
+from math import factorial, gamma, pi, sin, sqrt
 
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import CentralFn, _translate_norms, partial_sum_central
-from .representations import char_table
+from .fourier import CentralFn, _coeffs_from_cos_moments, _translate_norms, partial_sum_central
 
 __all__ = [
     "translate_norm_quadrature",
@@ -77,16 +76,57 @@ def translate_norm_quadrature(f, h: GroupElement, rule: QuadratureRule) -> float
     return _translate_norms(f, [h], rule)[0]
 
 
+_PI_LO = 1.2246467991473532e-16  # pi - float(pi), to rounding
+_SERIES_BELOW = 1.5  # N s below which 1 - q_n(s) comes from the series
+# (-1)^(k+1) / (2k+1)!, k = 1..11: P(y) = 1 - sin(y)/y = sum_k a_k y^(2k) to
+# rounding for |y| < _SERIES_BELOW
+_SINC_SERIES = tuple((-1) ** (k + 1) / factorial(2 * k + 1) for k in range(1, 12))
+
+
+def _one_minus_sinc(y):
+    """P(y) = 1 - sin(y)/y by Horner's rule on its alternating series."""
+    y2 = y * y
+    acc = 0.0
+    for a in reversed(_SINC_SERIES):
+        acc = acc * y2 + a
+    return acc * y2
+
+
 def central_translate_norm(coeffs: np.ndarray, r) -> np.ndarray | float:
     """||delta_h f|| for central f with coefficients c, conj angle r of h.
 
-    Exact modulo the dropped coefficient tail (a one-sided truncation).
+    ||delta_h f||^2 = sum_n 2 |c_n|^2 (1 - q_n(r)) with q_n(r) = chi_n(r)/N
+    = sin(N r)/(N sin r), N = n + 1, each term in closed form on one
+    (radius, n) array, a row per radius; no character table is built.  For
+    r > pi/2 the angle folds to s = pi - r, formed as (float(pi) - r) +
+    (pi - float(pi)), and q_n(pi - s) = (-1)^n q_n(s): sin(N r) near r = pi
+    would carry the rounding of N r into a quotient by sin r ~ s.  Where
+    N s < _SERIES_BELOW (s = r when r <= pi/2), 1 - q_n(s) =
+    (P(N s) - P(s)) s / sin s with P(y) = 1 - sin(y)/y from its alternating
+    series, which does not cancel near q_n = 1 (the subtraction loses at
+    most a factor N^2/(N^2 - 1) <= 4/3); elsewhere the quotient is taken as
+    it stands.  The hand-off sits at 1.5 because just above N s = 0.5 the
+    quotient is still 2.8e-15 relative off.  Each term 1 - q_n(r) is within
+    5e-16 relative of a 40-digit evaluation (sampled over r in [1e-6,
+    pi - 1e-6]), and the terms are nonnegative, so their sum keeps that
+    accuracy.  The norm is exact modulo the dropped coefficient tail (a
+    one-sided truncation).  r must lie in [0, pi].
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    table = char_table(len(coeffs) - 1, rr)
-    dims = np.arange(1, len(coeffs) + 1)
-    sq = (2 * np.abs(coeffs) ** 2) @ (1 - table / dims[:, None])
-    out = np.sqrt(np.maximum(sq, 0.0))
+    if not np.all((rr >= 0) & (rr <= np.pi)):  # NaN fails this test too
+        raise ValueError(f"conjugacy angles must lie in [0, pi], got {r!r}")
+    N = np.arange(1.0, len(coeffs) + 1)
+    terms = np.empty((len(rr), len(N)))  # [radius, n]
+    for row, rj in zip(terms, rr):
+        s = (np.pi - rj) + _PI_LO if rj > np.pi / 2 else float(rj)
+        x = N * s
+        near = np.searchsorted(x, _SERIES_BELOW)  # x[:near] < _SERIES_BELOW
+        ratio = s / sin(s) if s > 0 else 1.0
+        row[:near] = (_one_minus_sinc(x[:near]) - _one_minus_sinc(s)) * ratio
+        row[near:] = 1.0 - np.sin(x[near:]) / (N[near:] * sin(s))
+        if rj > np.pi / 2:
+            row[1::2] = 2.0 - row[1::2]  # odd n: 1 - q_n(r) = 1 + q_n(s)
+    out = np.sqrt(terms @ (2 * np.abs(coeffs) ** 2))
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -267,13 +307,66 @@ def uniform_error_central(f: CentralFn, N: int, delta: float, grid_size: int = 2
 # --------------------------------------------------------------------------
 
 _HOLDER_AMPLITUDE = 0.125  # keeps the convergence-criterion tails inside the test tolerances
+_HOLDER_HEAD = 16  # moments I_{2m}, m < 16, by the product; later ones by Stirling
+# B_{2j} / (2j (2j - 1)), j = 1..7: the terms of Stirling's series for log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _gamma_ratio(z: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Gamma(z + p) / Gamma(z + q) for z >= _HOLDER_HEAD and |p|, |q| <= 2.
+
+    Stirling's series log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2 +
+    sum_j B_{2j} / (2j (2j - 1) w^(2j-1)) at w = z + c, with
+    (w - 1/2) log w - w = (z + c - 1/2) log z - z + phi(c) and
+    phi(c) = (z + c - 1/2) log1p(c/z) - c = O(1/z): the terms of size z log z
+    cancel exactly, and the ratio is z^(p - q) exp(phi(p) - phi(q) + ...).
+    Seven terms leave under 1e-19 at z = 16.
+    """
+
+    def phi(c):
+        return (z + c - 0.5) * np.log1p(c / z) - c
+
+    tail = phi(p) - phi(q)
+    for j, b in enumerate(_STIRLING, start=1):
+        tail += b * ((z + p) ** (1 - 2 * j) - (z + q) ** (1 - 2 * j))
+    return z ** (p - q) * np.exp(tail)
+
+
+def _holder_coeffs(alpha: float, n_max: int) -> np.ndarray:
+    """c_0..c_{n_max} of A |cos theta|^alpha, A = _HOLDER_AMPLITUDE, in closed form.
+
+    The moments I_k = int_0^pi |cos t|^alpha cos(k t) dt vanish for odd k,
+    I_0 = sqrt(pi) Gamma((alpha + 1)/2) / Gamma(alpha/2 + 1), and
+    I_{k+2} / I_k = (alpha - k) / (k + 2 + alpha), so c_n = A (I_n - I_{n+2})/pi
+    = A I_n (2n + 2) / ((n + 2 + alpha) pi).  With a = alpha/2 the product
+    telescopes: I_{2m} = (-1)^m sqrt(pi) Gamma((alpha + 1)/2) / Gamma(-a) *
+    Gamma(m - a) / Gamma(m + 1 + a).  The first _HOLDER_HEAD moments follow
+    the product; later ones the Gamma ratio (``_gamma_ratio``), since the
+    plain product drifts (7.8e-14 relative at n = 4096, 1.2e-12 at 2^16).
+    Within 1.5e-15 relative of 40-digit values up to n = 2^16.
+    """
+    a = alpha / 2
+    m = np.arange(n_max // 2 + 1)
+    head = m[:_HOLDER_HEAD]
+    ratios = (alpha - 2 * head[:-1]) / (2 * head[:-1] + 2 + alpha)
+    I0 = sqrt(pi) * gamma((alpha + 1) / 2) / gamma(a + 1)
+    I = np.empty(len(m))
+    I[: len(head)] = I0 * np.cumprod(np.concatenate(([1.0], ratios)))
+    tail = m[_HOLDER_HEAD:]
+    scale = sqrt(pi) * gamma((alpha + 1) / 2) / gamma(-a)
+    I[_HOLDER_HEAD:] = np.where(tail % 2, -scale, scale) * _gamma_ratio(tail.astype(float), -a, 1 + a)
+    n = 2 * m
+    c = np.zeros(n_max + 1)
+    c[::2] = _HOLDER_AMPLITUDE * I * (2 * n + 2) / ((n + 2 + alpha) * pi)
+    return c
 
 
 def holder_test_function(alpha: float) -> CentralFn:
     """A |cos theta|^alpha, A = _HOLDER_AMPLITUDE: an alpha-Hoelder class function.
 
     The cusp at theta = pi/2 makes the coefficients decay like n^{-(1+alpha)}
-    (even n only, by symmetry).  The squared norm is exact:
+    (even n only, by symmetry); they come in closed form (``_holder_coeffs``).
+    The squared norm is exact:
     A^2 * Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 2)).
     """
     if not 0 < alpha < 1:
@@ -284,13 +377,55 @@ def holder_test_function(alpha: float) -> CentralFn:
         name=f"holder:{alpha}",
         cusps=(np.pi / 2,),
         norm_sq=nsq,
+        closed_form=partial(_holder_coeffs, alpha),
     )
 
 
+_FRESNEL_STEP = 0.125  # trapezoid step in w for the Fresnel auxiliary f
+_FRESNEL_REACH = 7.0  # e^{-w^2} < 1e-21 beyond
+
+
+def _sqrt_shift_coeffs(n_max: int) -> np.ndarray:
+    """c_0..c_{n_max} of |theta - pi/2|^(1/2) in closed form.
+
+    The moments I_k = int_0^pi |t - pi/2|^(1/2) cos(k t) dt vanish for odd k,
+    I_0 = (4/3) (pi/2)^(3/2), and for k = 2m > 0 integration by parts and
+    u = pi s^2 / (2k) give I_k = -(-1)^m (2/k) sqrt(pi/(2k)) S(sqrt k), S
+    Fresnel's sine integral.  As pi k / 2 = m pi, S(sqrt k) = 1/2 - (-1)^m
+    f(sqrt k) with the auxiliary function f (NIST DLMF 7.5.4), so
+    I_k = (2/k) sqrt(pi/(2k)) (f(sqrt k) - (-1)^m / 2).  DLMF 7.7.10 with
+    t = (2/(pi k)) w^2 gives f(sqrt k) = 2/(pi sqrt(pi k)) int_0^inf
+    e^{-w^2} / (1 + (2 w^2/(pi k))^2) dw, an even integrand analytic in
+    |Im w| < 1.25 for every k >= 2, so the trapezoid rule with step 1/8 is
+    exact to rounding (Trefethen and Weideman, SIAM Rev. 56, 2014).  All its
+    terms are positive, and f <= 0.2 sits beside 1/2, so no step cancels:
+    within 2e-16 relative of 40-digit values up to n = 2^16.  (A
+    Gauss-Legendre rule for int 2 s^2 cos(k s^2) ds cancels instead, 1.5e-13
+    relative at n = 30.)
+    """
+    k = np.arange(2, n_max + 3, 2, dtype=float)
+    stretch = 2 / (np.pi * k)
+    f = np.zeros_like(k)
+    for w in np.arange(_FRESNEL_STEP, _FRESNEL_REACH, _FRESNEL_STEP):
+        f += np.exp(-w * w) / (1 + (stretch * w * w) ** 2)
+    f = (0.5 + f) * _FRESNEL_STEP * 2 / (np.pi * np.sqrt(np.pi * k))  # w = 0 has weight 1/2
+    alternating = np.where(np.arange(1, len(k) + 1) % 2, -0.5, 0.5)  # (-1)^m / 2
+    I = np.zeros(n_max + 3)
+    I[0] = (4 / 3) * (np.pi / 2) ** 1.5
+    I[2::2] = (2 / k) * np.sqrt(np.pi / (2 * k)) * (f - alternating)
+    return _coeffs_from_cos_moments(I, n_max)
+
+
 def sqrt_shift_fn() -> CentralFn:
-    """|theta - pi/2|^(1/2) as a central function (cusp at the equator)."""
+    """|theta - pi/2|^(1/2) as a central function (cusp at the equator).
+
+    The coefficients come in closed form (``_sqrt_shift_coeffs``), and so
+    does the squared norm (2/pi) int |theta - pi/2| sin^2 = pi/4 - 1/pi.
+    """
     return CentralFn(
         fn=lambda th: np.sqrt(np.abs(th - np.pi / 2)),
         name="sqrtshift",
         cusps=(np.pi / 2,),
+        norm_sq=pi / 4 - 1 / pi,
+        closed_form=_sqrt_shift_coeffs,
     )

@@ -1,6 +1,9 @@
 """CLI: table formats, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from types import ModuleType
 
 import pytest
@@ -151,6 +154,45 @@ def test_payload_does_not_depend_on_the_slab_cpus(tmp_path, monkeypatch):
     assert payloads[0] == payloads[1]
 
 
+_BLAS_ARGVS = [
+    [command]
+    for command in ("kernel-check", "lebesgue", "chain", "diverge", "partial-sum", "modulus",
+                    "dini", "jackson", "rm-sum", "uniform-central")
+] + [["jackson", "--fn", "holder:0.5"], ["modulus", "--fn", "sqrtshift"], ["rm-sum", "--fn", "holder:0.3"]]
+
+_PAYLOAD_DIGESTS = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from su2fourier.cli import run
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(argv)
+    payload = "\\n".join(l for l in out.getvalue().splitlines() if not l.startswith("#"))
+    print(code, hashlib.md5(payload.encode()).hexdigest())
+"""
+
+
+def test_payload_does_not_depend_on_the_blas_threads():
+    # BLAS reads its thread count once, when it loads, so each setting gets a
+    # fresh process: one BLAS thread, and no BLAS variable (one per CPU)
+    unset = {k: v for k, v in os.environ.items() if k not in fourier._BLAS_THREAD_VARS}
+    unset["PYTHONPATH"] = os.path.dirname(os.path.dirname(su2fourier.__file__))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _PAYLOAD_DIGESTS, json.dumps(_BLAS_ARGVS)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        for env in (unset, unset | {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    digests = [proc.communicate(timeout=300)[0].splitlines() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert [len(d) for d in digests] == [len(_BLAS_ARGVS)] * 2
+    assert all(line.startswith("0 ") for line in digests[0])
+    differ = [argv for argv, x, y in zip(_BLAS_ARGVS, *digests) if x != y]
+    assert differ == []
+
+
 def test_json_meta_keys_and_config_echo(tmp_path):
     _, text = _run_to_file(tmp_path, "meta.json", ["lebesgue", "--n", "0", "--format", "json"])
     meta = json.loads(text)["meta"]
@@ -245,7 +287,9 @@ def test_negative_character_degree_is_usage_error(degree, capsys):
     assert run(["partial-sum", "--fn", f"char:{degree}"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"su2fourier: degree n must be >= 0, got {degree}\n"
+    assert err == (
+        f"su2fourier: function spec 'char:{degree}' is invalid: degree n must be >= 0, got {degree}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -286,6 +330,10 @@ def test_points_spec_without_a_positive_count_is_usage_error(spec, capsys):
         ("sawtooth:2.5", "needs an integer, got '2.5'"),
         ("holder:abc", "needs a number, got 'abc'"),
         ("const:x", "needs a number, got 'x'"),
+        ("const:1e400", "is invalid: constant value must be finite, got inf"),
+        ("holder:1.5", "is invalid: alpha must lie in (0, 1)"),
+        ("sawtooth:1", "is invalid: sawtooth witnesses need n >= 2"),
+        ("char:-1", "is invalid: degree n must be >= 0, got -1"),
     ],
 )
 def test_function_spec_argument_mismatch_is_usage_error(spec, problem, capsys):

@@ -1,5 +1,6 @@
 """Modulus of continuity, Dini integral, best approximation, block sums."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,14 @@ from su2fourier.group import (
     random_directions,
     weyl_grid,
 )
-from su2fourier.fourier import CentralFn, band_limited_fn, char_fn, const_fn, left_translate
+from su2fourier.fourier import (
+    CentralFn,
+    _quadrature_coeffs,
+    band_limited_fn,
+    char_fn,
+    const_fn,
+    left_translate,
+)
 from su2fourier.divergence import sawtooth
 from su2fourier.convergence import (
     ModulusProfile,
@@ -88,6 +96,143 @@ def test_central_translate_norm_matches_quadrature():
         got = central_translate_norm(c, conj_angle(h))
         want = translate_norm_quadrature(f, h, rule)
         assert got == pytest.approx(want, rel=1e-3)
+
+
+def _translate_norm_mpmath(c, r):
+    # sum_n 2 c_n^2 (1 - sin(N r)/(N sin r)) at 40 digits, r taken exactly
+    with mpmath.workdps(40):
+        rr = mpmath.mpf(float(r))
+        total = mpmath.fsum(
+            2 * mpmath.mpf(float(cn)) ** 2 * (1 - mpmath.sin(n * rr) / (n * mpmath.sin(rr)))
+            for n, cn in enumerate(c, start=1)
+            if cn != 0
+        )
+        return mpmath.sqrt(total)
+
+
+# r from 1e-6 to pi - 1e-6; at the radii within 1e-3 of either end, N s = 0.5
+# and N s = 1.5 (where the series hands off to the quotient) fall below n = 2048
+_ORACLE_RADII = (1e-6, 1e-4, 1e-3, 0.01, 0.3, 1.0, np.pi / 2, 2.0, np.pi - 1e-3, np.pi - 1e-6)
+
+
+@pytest.mark.parametrize("r", _ORACLE_RADII)
+def test_central_translate_norm_matches_mpmath_per_term(r):
+    # one coefficient at a time: the closed form of each 1 - q_n(r), on 64
+    # degrees across each of N s = 0.5 and N s = 1.5 (s = r, or pi - r)
+    s = min(r, np.pi - r)
+    ns = {0, 1, 2, 7, 100, 2048}
+    for x in (0.5, 1.5):
+        ns |= set(np.linspace(0.4 * x / s, 1.6 * x / s, 64).astype(int).tolist())
+    for n in sorted(k for k in ns if 0 <= k <= 2048):
+        c = np.zeros(n + 1)
+        c[n] = 1.0
+        want = _translate_norm_mpmath(c, r)
+        assert abs(central_translate_norm(c, r) - want) <= 1e-15 * want, n
+
+
+def test_central_translate_norm_matches_mpmath():
+    # the holder:0.3 coefficients up to n = 2048, so both hand-offs fall
+    # inside the sum at the smaller radii
+    c = holder_test_function(0.3).coeffs(2048)
+    got = central_translate_norm(c, np.array(_ORACLE_RADII))
+    want = [_translate_norm_mpmath(c, r) for r in _ORACLE_RADII]
+    assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-15
+
+
+def test_central_translate_norm_at_the_poles():
+    # r = 0 is the identity, and at r = float(pi) every q_n is (-1)^n to
+    # rounding; neither may warn (warnings are errors here)
+    c = np.random.default_rng(5).normal(size=300)
+    assert central_translate_norm(c, 0.0) == 0.0
+    want = np.sqrt(4 * np.sum(c[1::2] ** 2))
+    assert central_translate_norm(c, np.pi) == pytest.approx(want, rel=1e-15)
+    for bad in (-1e-9, np.pi + 1e-9, np.nan):
+        with pytest.raises(ValueError):
+            central_translate_norm(c, bad)
+
+
+_SAMPLED_N = (0, 1, 2, 6, 30, 32, 34, 64, 1000, 4094, 4096, 2**16 - 2, 2**16)
+
+
+def _holder_coeff_mpmath(alpha, n):
+    # A (I_n - I_{n+2}) / pi, A = 1/8, with the Beta-function moments
+    # I_k = 2 int_0^{pi/2} cos^a t cos(k t) dt
+    #     = pi Gamma(a+1) / (2^a Gamma(1 + (a+k)/2) Gamma(1 + (a-k)/2)), k even
+    a = mpmath.mpf(alpha)
+
+    def moment(k):
+        return mpmath.pi * mpmath.gamma(a + 1) / 2**a * mpmath.rgamma(1 + (a + k) / 2) * mpmath.rgamma(
+            1 + (a - k) / 2
+        )
+
+    return (moment(n) - moment(n + 2)) / (8 * mpmath.pi) if n % 2 == 0 else mpmath.mpf(0)
+
+
+def _sqrt_shift_coeff_mpmath(n):
+    # (I_n - I_{n+2}) / pi with I_0 = (4/3)(pi/2)^(3/2) and, for even k > 0,
+    # I_k = -(-1)^(k/2) (2/k) sqrt(pi/(2k)) S(sqrt k), S Fresnel's sine integral
+    def moment(k):
+        if k == 0:
+            return mpmath.mpf(4) / 3 * (mpmath.pi / 2) ** 1.5
+        return -((-1) ** (k // 2)) * mpmath.mpf(2) / k * mpmath.sqrt(mpmath.pi / (2 * k)) * mpmath.fresnels(
+            mpmath.sqrt(k)
+        )
+
+    return (moment(n) - moment(n + 2)) / mpmath.pi if n % 2 == 0 else mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
+def test_holder_coeffs_match_mpmath(alpha):
+    c = holder_test_function(alpha).coeffs(2**16)
+    with mpmath.workdps(40):
+        for n in _SAMPLED_N:
+            want = _holder_coeff_mpmath(alpha, n)
+            assert abs(c[n] - want) <= 1e-14 * abs(want), n
+
+
+def test_sqrt_shift_coeffs_match_mpmath():
+    c = sqrt_shift_fn().coeffs(2**16)
+    with mpmath.workdps(40):
+        for n in _SAMPLED_N:
+            want = _sqrt_shift_coeff_mpmath(n)
+            assert abs(c[n] - want) <= 1e-14 * abs(want), n
+        # the Fresnel moments against the defining integral
+        # (2/pi) int |t - pi/2|^(1/2) sin((n+1)t) sin t dt
+        for n in (0, 2, 4):
+            direct = 2 / mpmath.pi * mpmath.quad(
+                lambda t: mpmath.sqrt(abs(t - mpmath.pi / 2)) * mpmath.sin((n + 1) * t) * mpmath.sin(t),
+                [0, mpmath.pi / 2, mpmath.pi],
+            )
+            assert abs(_sqrt_shift_coeff_mpmath(n) - direct) <= 1e-30
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: holder_test_function(0.1), lambda: holder_test_function(0.9), sqrt_shift_fn],
+    ids=["holder:0.1", "holder:0.9", "sqrtshift"],
+)
+def test_quadrature_coeffs_agree_with_closed_forms(make):
+    # the auto rule CentralFn.coeffs builds for n <= 4095 is off by its own
+    # rounding floor, about 4e-14 of the largest coefficient at every n
+    f = make()
+    rule = weyl_grid(order=4096 // 2 + 8, cusps=f.cusps)
+    c = f.coeffs(4095)
+    assert np.abs(_quadrature_coeffs(f, 4095, rule) - c).max() <= 1e-13 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("make", [lambda: holder_test_function(0.3), sqrt_shift_fn],
+                         ids=["holder:0.3", "sqrtshift"])
+def test_closed_form_coeffs_do_not_depend_on_n_max(make):
+    # each coefficient is its own closed form, so a shorter vector is a prefix
+    for n_max in (0, 1, 2, 31, 32, 33):
+        assert np.array_equal(make().coeffs(n_max), make().coeffs(5000)[: n_max + 1])
+
+
+def test_sqrt_shift_norm_closed_form():
+    # pi/4 - 1/pi against the graded rule the package used before
+    f = sqrt_shift_fn()
+    rule = weyl_grid(520, cusps=(np.pi / 2,))
+    quad = float(np.dot(rule.weights, f(rule.nodes) ** 2))
+    assert f.l2_norm_sq() == pytest.approx(quad, rel=1e-15)
 
 
 # ---------------------------------------------------------------- modulus

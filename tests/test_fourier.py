@@ -120,12 +120,18 @@ def test_quadrature_coeffs_match_extended_precision():
     assert float(np.abs(got - want).max()) <= 1e-14 * float(np.abs(want).max())
 
 
+def _user_sqrt_shift():
+    # the sqrtshift profile as a user supplies it: no closed form, so coeffs
+    # takes the auto-rule quadrature
+    return CentralFn(fn=sqrt_shift_fn().fn, cusps=(np.pi / 2,))
+
+
 def test_coeffs_do_not_depend_on_cache_history():
     # a bucket is filled whole on its first miss, whichever n_max comes first
-    warm = sqrt_shift_fn()
+    warm = _user_sqrt_shift()
     warm.coeffs(4000)
-    assert np.array_equal(warm.coeffs(3900), sqrt_shift_fn().coeffs(3900))
-    assert np.array_equal(sqrt_shift_fn().coeffs(64), sqrt_shift_fn().coeffs(128)[:65])
+    assert np.array_equal(warm.coeffs(3900), _user_sqrt_shift().coeffs(3900))
+    assert np.array_equal(_user_sqrt_shift().coeffs(64), _user_sqrt_shift().coeffs(128)[:65])
 
 
 @pytest.mark.parametrize("n_max, limit_mib", [(4096, 32), (16383, 64)])
@@ -142,7 +148,7 @@ def test_quadrature_coeffs_memory_is_bounded(n_max, limit_mib):
     assert peak < limit_mib * 2**20
 
 
-@pytest.mark.parametrize("make", [sqrt_shift_fn, lambda: sawtooth(5)], ids=["auto", "exact"])
+@pytest.mark.parametrize("make", [_user_sqrt_shift, lambda: sawtooth(5)], ids=["auto", "exact"])
 def test_coeffs_cached_vector_is_read_only(make):
     # auto-rule quadrature and closed-form paths both hand out cached vectors
     h = make()
