@@ -7,9 +7,7 @@ order and column order, and floats are printed with 17 significant digits
 (exact double round-trip).  It is a function of config and seed alone, so
 only the wall-clock stamp in the metadata varies between runs.  Neither the
 beta-slab threads of the 3D paths nor the BLAS library's thread count
-changes it: every function spec has its coefficients in closed form, so no
-command reaches the quadrature coefficients, whose blocked matrix products
-may round differently with several BLAS threads.
+changes it: every central function has exact coefficients and norm.
 
 Exit codes: 0 success, 1 when a margin-style check fails (the offending rows
 are listed on stderr), 2 on usage errors.  The environment variable

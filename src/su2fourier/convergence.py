@@ -239,10 +239,9 @@ def dini_integral(profile: ModulusProfile, t_min: float) -> float:
     return float(np.trapezoid(yy, ss))
 
 
-def best_approx(f: CentralFn, M: int, coeffs: np.ndarray | None = None) -> float:
+def best_approx(f: CentralFn, M: int) -> float:
     """E_M(f) = sqrt(||f||^2 - sum_{n<=M} |c_n|^2), clipped at 0 for rounding."""
-    c = coeffs if coeffs is not None else f.coeffs(M)
-    head = float(np.sum(np.abs(c[: M + 1]) ** 2))
+    head = float(np.sum(np.abs(f.coeffs(M)) ** 2))
     return sqrt(max(0.0, f.l2_norm_sq() - head))
 
 
@@ -260,15 +259,14 @@ class JacksonPoint:
 def jackson_ratio(f: CentralFn, k: int) -> JacksonPoint:
     """Jackson quotient E_{2^k}(f) / Omega(f, 2^{-k}) of a central f.
 
-    Both sides come from the one coefficient path of f: E from its first
-    max(DEFAULT_COEFF_LIMIT, 2^k) + 1 coefficients and ||f||^2, Omega from
-    the exact coefficient form on its first DEFAULT_COEFF_LIMIT + 1.  The
+    Both sides come from the exact coefficients of f: E from c_0..c_{2^k}
+    and ||f||^2, Omega from c_0..c_{DEFAULT_COEFF_LIMIT}.  The
     theorem guarantees a uniform bound; the constant is an empirical record,
     not an assertion.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    e_val = best_approx(f, 2**k, coeffs=f.coeffs(max(DEFAULT_COEFF_LIMIT, 2**k)))
+    e_val = best_approx(f, 2**k)
     omega = integral_modulus(f, 2.0**-k)
     if omega == 0.0:
         return JacksonPoint(k=k, best_approx=e_val, modulus=0.0, ratio=float("nan"), degenerate=True)

@@ -36,19 +36,17 @@ kernel value and no quadrature enters it (the panel quadrature between the
 zeros of the numerator survives only as a test oracle).
 
 Partial sums are computed in coefficient space (exact for band-limited
-inputs); kernel convolution survives only as a test oracle.  A central
-function may carry its coefficients in closed form (``CentralFn.closed_form``):
-a piecewise-linear one through the integrals of (linear) x cos(k theta) per
-segment, and the Hoelder and sqrtshift families of ``convergence`` through
-Gamma ratios and Fresnel integrals.  Any other profile goes through the
-quadrature path, which the closed forms anchor in the tests.  Quadrature
-coefficients split each index as n = bB + k and use the Chebyshev addition
-formula U_{bB+k} = U_k U_{bB} - U_{k-1} U_{bB-1}, so a chunk of nodes costs
-B + 1 recurrence rows and two real matrix products instead of one row per
-index; the one-row-per-index table survives only as a test oracle.
-Computed coefficient vectors are cached per function and coefficient path
-(the auto rule fills a whole bucket of indices per miss), read-only;
-populate caches single-threaded before any parallel read.
+inputs); kernel convolution survives only as a test oracle.  Central
+coefficients and norms are exact only: a ``CentralFn`` is band-limited
+(``band_coeffs``) or carries its coefficients in closed form
+(``closed_form``) and its squared norm (``norm_sq``): a piecewise-linear
+profile through the integrals of (linear) x cos(k theta) per segment, and the
+Hoelder and sqrtshift families of ``convergence`` through Gamma ratios and
+Fresnel integrals.  A user profile becomes exact through ``from_breakpoints``
+(its piecewise-linear interpolant) or ``band_limited_fn``; quadrature
+coefficients survive only as a test oracle.  The closed-form vector is cached
+per function, read-only; populate caches single-threaded before any parallel
+read.
 """
 
 from __future__ import annotations
@@ -65,10 +63,8 @@ from .group import (
     IDENTITY,
     GroupElement,
     QuadratureRule,
-    WeylRule,
     conj_angle_arrays,
     mul_arrays,
-    weyl_grid,
 )
 from .representations import (
     char_eval,
@@ -104,21 +100,19 @@ __all__ = [
 class CentralFn:
     """A class function on SU(2), given by its profile on theta in [0, pi].
 
+    Its coefficients and squared L^2 norm are exact: ``band_coeffs`` marks an
+    exactly band-limited function given by its chi-coefficients; otherwise
     ``closed_form`` maps n_max to the coefficients c_0..c_{n_max} in closed
-    form; ``breakpoints`` marks an exact piecewise-linear profile (its
-    ``closed_form`` and L^2 norm then come from segment integrals);
-    ``band_coeffs`` marks an exactly band-limited function given by its
-    chi-coefficients; ``cusps`` lists interior angles where the profile is
-    continuous but not smooth, so that auto-built quadrature rules grade
-    panels there.  ``norm_sq`` may supply an exact squared L^2 norm.
-    ``fn`` must be safe to call from several threads at once, unless the
-    function is band-limited: the beta slabs may evaluate it concurrently
-    (see ``_each_run``).
+    form.  ``norm_sq`` is the exact squared L^2 norm.  The constructors below
+    set them and store their arrays read-only.  ``cusps`` lists interior
+    angles where the profile is continuous but not smooth, where graded
+    quadrature rules put panel edges.  ``fn`` must be safe to call from
+    several threads at once, unless the function is band-limited: the beta
+    slabs may evaluate it concurrently (see ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    breakpoints: Optional[tuple] = None  # (theta array, value array)
     band_coeffs: Optional[np.ndarray] = None
     cusps: tuple = ()
     norm_sq: Optional[float] = None
@@ -132,19 +126,21 @@ class CentralFn:
         """Evaluate at group elements given as (a, b) arrays."""
         return self.fn(conj_angle_arrays(a, b))
 
-    def coeffs(self, n_max: int) -> np.ndarray:
-        """Coefficients c_0..c_{n_max} from the function's one coefficient path.
+    def _not_exact(self, what: str) -> NotImplementedError:
+        return NotImplementedError(
+            f"{self.name or 'this CentralFn'} has no exact {what}; give a user "
+            "profile through from_breakpoints (its piecewise-linear interpolant) "
+            "or band_limited_fn (its chi-coefficients)"
+        )
 
-        Band-limited functions return their stored vector; a function with a
-        ``closed_form`` (breakpoint profiles, and the Hoelder and sqrtshift
-        families of ``convergence``) returns it, to rounding; anything else
-        the quadrature on an auto-built graded Weyl rule sized for a bucket
-        of 256 indices (on the built-in families, up to n = 4095, it is off
-        by about 4e-14 of the largest coefficient at every n).  A miss on a
-        bucket fills the whole bucket at once (``_quadrature_coeffs``,
-        blocked by the Chebyshev addition formula), so every n_max in it
-        reads a prefix of one vector, whatever was asked before.  The closed
-        form and each bucket are cached; cached vectors are read-only.
+    def coeffs(self, n_max: int) -> np.ndarray:
+        """Coefficients c_0..c_{n_max}, exact to rounding.
+
+        Band-limited functions return their stored vector, zero-padded; any
+        other function its ``closed_form``, which is cached and read-only.
+        Each closed-form coefficient does not depend on n_max, so every n_max
+        reads a prefix of one vector, whatever was asked before.  A function
+        with neither raises NotImplementedError.
         """
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -153,33 +149,32 @@ class CentralFn:
             m = min(n_max + 1, len(self.band_coeffs))
             c[:m] = self.band_coeffs[:m]
             return c
-        if self.closed_form is not None:
-            key = ("exact",)
-        else:
-            # bucket n_max so sweeps over N reuse one rule
-            key = ("auto", 256 * int(np.ceil((n_max + 1) / 256)))
-        cached = self._cache.get(key)
+        if self.closed_form is None:
+            raise self._not_exact("coefficients")
+        cached = self._cache.get("exact")
         if cached is not None and len(cached) >= n_max + 1:
             return cached[: n_max + 1]
-        if self.closed_form is not None:
-            c = self.closed_form(n_max)
-        else:
-            rule = weyl_grid(order=key[1] // 2 + 8, cusps=self.cusps)
-            c = _quadrature_coeffs(self, key[1] - 1, rule)
+        c = self.closed_form(n_max)
         c.flags.writeable = False
-        self._cache[key] = c
+        self._cache["exact"] = c
         return c[: n_max + 1]
 
     def l2_norm_sq(self) -> float:
-        """Exact closed forms where available, graded quadrature otherwise."""
-        if self.norm_sq is not None:
-            return self.norm_sq
-        if self.band_coeffs is not None:
-            return float(np.sum(np.abs(self.band_coeffs) ** 2))
-        if self.breakpoints is not None:
-            return _pl_norm_sq(*self.breakpoints)
-        rule = weyl_grid(order=520, cusps=self.cusps)
-        return float(np.real(np.dot(rule.weights, np.abs(self.fn(rule.nodes)) ** 2)))
+        """The exact ``norm_sq``; NotImplementedError if the function has none."""
+        if self.norm_sq is None:
+            raise self._not_exact("squared norm")
+        return self.norm_sq
+
+
+def _read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a: later writes to the caller's array change nothing."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _band_norm_sq(c: np.ndarray) -> float:
+    return float(np.sum(np.abs(c) ** 2))
 
 
 def char_fn(n: int) -> CentralFn:
@@ -187,38 +182,61 @@ def char_fn(n: int) -> CentralFn:
         raise ValueError(f"degree n must be >= 0, got {n}")
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
+    coeffs.flags.writeable = False
     return CentralFn(
-        fn=lambda th: char_eval(n, th), name=f"char:{n}", band_coeffs=coeffs
+        fn=lambda th: char_eval(n, th),
+        name=f"char:{n}",
+        band_coeffs=coeffs,
+        norm_sq=_band_norm_sq(coeffs),
     )
 
 
 def const_fn(value: float = 1.0) -> CentralFn:
     if not np.isfinite(value):
         raise ValueError(f"constant value must be finite, got {value!r}")
+    coeffs = _read_only([value])
     return CentralFn(
         fn=lambda th: np.full_like(np.asarray(th, dtype=float), value),
         name=f"const:{value}",
-        band_coeffs=np.array([value]),
+        band_coeffs=coeffs,
+        norm_sq=_band_norm_sq(coeffs),
     )
 
 
 def band_limited_fn(coeffs, name: str = "band") -> CentralFn:
-    c = np.asarray(coeffs)
+    """sum_n c_n chi_n for the given chi-coefficients (copied, read-only)."""
+    c = _read_only(coeffs)
 
     def fn(th):
         vals = np.tensordot(c, char_table(len(c) - 1, np.atleast_1d(th)), axes=1)
         return vals if np.ndim(th) else vals[0]
 
-    return CentralFn(fn=fn, name=name, band_coeffs=c)
+    return CentralFn(fn=fn, name=name, band_coeffs=c, norm_sq=_band_norm_sq(c))
 
 
 def from_breakpoints(theta, values, name: str = "pl") -> CentralFn:
-    th = np.asarray(theta, dtype=float)
-    va = np.asarray(values, dtype=float)
+    """The piecewise-linear profile through (theta_i, values_i), exactly.
+
+    The angles must increase strictly from exactly 0 to exactly pi, so the
+    interpolant is the profile on all of [0, pi]; both arrays must be 1-D,
+    finite and of one length >= 2.  Anything else raises ValueError.  The
+    coefficients and the squared norm are the profile's segment integrals,
+    and both arrays are stored as read-only copies.
+    """
+    th, va = _read_only(theta, float), _read_only(values, float)
+    if th.ndim != 1 or va.shape != th.shape or len(th) < 2:
+        raise ValueError(
+            f"breakpoints need 1-D angles and values of one length >= 2, "
+            f"got shapes {th.shape} and {va.shape}"
+        )
+    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(va))):
+        raise ValueError("breakpoint angles and values must be finite")
+    if th[0] != 0.0 or th[-1] != np.pi or np.any(np.diff(th) <= 0):
+        raise ValueError("breakpoint angles must increase strictly from 0 to pi")
     return CentralFn(
         fn=lambda t: np.interp(t, th, va),
         name=name,
-        breakpoints=(th, va),
+        norm_sq=_pl_norm_sq(th, va),
         closed_form=partial(_pl_coeffs, th, va),
     )
 
@@ -318,48 +336,6 @@ def _pl_norm_sq(th, va):
     plain = p0 * (t1 - t0) + p1 * (t1**2 - t0**2) / 2 + p2 * (t1**3 - t0**3) / 3
     osc = _poly2_cos_integral(p0, p1, p2, 2.0, t0, t1)
     return float(np.sum(plain - osc) / np.pi)
-
-
-_COEFF_BLOCK = 64  # B: coefficients per block of the addition formula
-_COEFF_CHUNK_ENTRIES = 2**21  # table entries per node chunk, about 16 MiB
-
-
-def _quadrature_coeffs(f: CentralFn, n_max: int, rule: WeylRule) -> np.ndarray:
-    """c_n = sum_j g_j U_n(cos theta_j) with g_j = w_j f(theta_j), n = 0..n_max.
-
-    With B = _COEFF_BLOCK and n = bB + k (0 <= k < B), the addition formula
-    U_{m+n} = U_m U_n - U_{m-1} U_{n-1} (Mason & Handscomb, Chebyshev
-    Polynomials, 2003) splits each coefficient as
-
-        c_{bB+k} = sum_j U_k [g_j U_{bB}] - sum_j U_{k-1} [g_j U_{bB-1}],
-
-    so a chunk of nodes costs one ``char_table(B, .)`` for the rows U_0..U_B
-    and two real (B x nodes) @ (nodes x blocks) matrix products.  The seed
-    rows S_b = U_{bB}, T_b = U_{bB-1} come from the step (S, T) <- (U_B S -
-    U_{B-1} T, U_{B-1} S - U_{B-2} T), whose matrix has determinant 1 and
-    eigenvalues e^{+-i B theta}, stable like the recurrence itself.  The nodes
-    run in chunks of about _COEFF_CHUNK_ENTRIES table entries, and the real
-    and imaginary parts of a complex profile enter the products as columns.
-    """
-    g = np.asarray(f.fn(rule.nodes)) * rule.weights
-    parts = np.stack((g.real, g.imag)) if np.iscomplexobj(g) else g[None]
-    B, nb = _COEFF_BLOCK, n_max // _COEFF_BLOCK + 1
-    chunk = max(1, _COEFF_CHUNK_ENTRIES // (B + 1 + 2 * (1 + len(parts)) * nb))
-    acc = np.zeros((B, len(parts) * nb))
-    for lo in range(0, len(g), chunk):
-        U = char_table(B, rule.nodes[lo : lo + chunk])
-        S = np.empty((nb, U.shape[1]))
-        T = np.empty_like(S)
-        S[0], T[0] = 1.0, 0.0
-        for b in range(1, nb):
-            S[b] = U[B] * S[b - 1] - U[B - 1] * T[b - 1]
-            T[b] = U[B - 1] * S[b - 1] - U[B - 2] * T[b - 1]
-        p = parts[:, None, lo : lo + chunk]  # [part, block, node] after broadcast
-        acc += U[:B] @ (p * S).reshape(-1, S.shape[1]).T
-        acc[1:] -= U[: B - 1] @ (p * T).reshape(-1, T.shape[1]).T
-    c = acc.reshape(B, len(parts), nb).transpose(1, 2, 0).reshape(len(parts), -1)
-    c = c[0] + 1j * c[1] if len(parts) == 2 else c[0]
-    return c[: n_max + 1]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Group samples, the Haar rule's flat weights, the translate difference and
-the benchmark modules, shared by the test suites."""
+"""Group samples, the Haar rule's flat weights, the translate difference,
+quadrature coefficients and the benchmark modules, shared by the test
+suites."""
 
 import importlib.util
 import sys
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from su2fourier.fourier import CentralFn, left_translate
 from su2fourier.group import GroupElement, random_elements
+from su2fourier.representations import char_table
 
 
 def random_element(rng):
@@ -36,6 +38,18 @@ def delta_translate(f, h: GroupElement):
     fg = f.on_group if isinstance(f, CentralFn) else f
     translated = left_translate(f, h.inverse())
     return lambda a, b: fg(a, b) - translated(a, b)
+
+
+def quadrature_coeffs(f, n_max, rule):
+    """c_0..c_{n_max} of the profile f by the Weyl rule ``rule``.
+
+    The oracle beside the exact ``CentralFn.coeffs``: c_n = sum_j w_j
+    f(theta_j) chi_n(theta_j), one ``char_table`` row per index, with the
+    nodes in chunks of 1024 to bound the table.
+    """
+    g = f(rule.nodes) * rule.weights
+    return sum(char_table(n_max, rule.nodes[lo : lo + 1024]) @ g[lo : lo + 1024]
+               for lo in range(0, len(g), 1024))
 
 
 def _normalized(q):

@@ -41,14 +41,34 @@ def test_tracer_installs_every_hook_and_restores_the_originals():
         assert all(now[key] is value for key, value in saved.items())
 
 
-@pytest.mark.parametrize("name", list(_WORKLOADS))
-def test_workload_first_pass_runs_and_checks_against_the_package(name, tmp_path):
-    # set-up, pass 0 and each task's own check, as one benchmark pass runs them
-    workload = _WORKLOADS[name](su2fourier, 0, str(tmp_path))
-    workload.setup()
-    workload.references()
-    tasks = workload.tasks(0)
+_PASS_CASES = [pytest.param(name, False, id=name) for name in _WORKLOADS] + [
+    pytest.param(name, True, id=f"{name}-traced") for name in _WORKLOADS
+]
+
+
+@pytest.mark.parametrize("name, traced", _PASS_CASES)
+def test_workload_first_pass_runs_and_checks_against_the_package(name, traced, tmp_path):
+    # set-up, pass 0 and each task's own check, as one benchmark pass runs
+    # them; traced, every hook also reads the package's arguments and results
+    tracer = _load_spans().Tracer(su2fourier) if traced else None
+    workload = _WORKLOADS[name](su2fourier, 0, str(tmp_path), tracer)
+    if tracer is None:
+        workload.setup()
+        workload.references()
+        tasks = workload.tasks(0)
+        outcomes = [(label, call()) for label, call in tasks]
+    else:
+        tracer.install()
+        try:
+            tracer.root("setup", workload.setup)
+            workload.references()
+            tasks = workload.tasks(0)
+            outcomes = tracer.root("pass", lambda: [(label, call()) for label, call in tasks])
+        finally:
+            tracer.remove()
+        shares = [v for key, v in tracer.report().items() if key.startswith("layer.")]
+        assert sum(shares) == pytest.approx(1.0)
     assert tasks
-    for label, call in tasks:
-        _, ok = workload.check(label, call())
+    for label, out in outcomes:
+        _, ok = workload.check(label, out)
         assert ok, label

@@ -17,7 +17,6 @@ from su2fourier.group import (
 )
 from su2fourier.fourier import (
     CentralFn,
-    _quadrature_coeffs,
     band_limited_fn,
     char_fn,
     const_fn,
@@ -39,7 +38,7 @@ from su2fourier.convergence import (
     uniform_error_central,
 )
 
-from helpers import delta_translate, haar_weights, random_element
+from helpers import delta_translate, haar_weights, quadrature_coeffs, random_element
 
 
 def random_translation(rng, radius):
@@ -211,18 +210,19 @@ def test_sqrt_shift_coeffs_match_mpmath():
     ids=["holder:0.1", "holder:0.9", "sqrtshift"],
 )
 def test_quadrature_coeffs_agree_with_closed_forms(make):
-    # the auto rule CentralFn.coeffs builds for n <= 4095 is off by its own
-    # rounding floor, about 4e-14 of the largest coefficient at every n
+    # a graded rule sized for n <= 4095 is off by its own rounding floor,
+    # about 4e-14 of the largest coefficient at every n
     f = make()
     rule = weyl_grid(order=4096 // 2 + 8, cusps=f.cusps)
     c = f.coeffs(4095)
-    assert np.abs(_quadrature_coeffs(f, 4095, rule) - c).max() <= 1e-13 * np.abs(c).max()
+    assert np.abs(quadrature_coeffs(f, 4095, rule) - c).max() <= 1e-13 * np.abs(c).max()
 
 
-@pytest.mark.parametrize("make", [lambda: holder_test_function(0.3), sqrt_shift_fn],
-                         ids=["holder:0.3", "sqrtshift"])
+@pytest.mark.parametrize("make", [lambda: holder_test_function(0.3), sqrt_shift_fn, lambda: sawtooth(9)],
+                         ids=["holder:0.3", "sqrtshift", "sawtooth:9"])
 def test_closed_form_coeffs_do_not_depend_on_n_max(make):
-    # each coefficient is its own closed form, so a shorter vector is a prefix
+    # each coefficient is its own closed form, so a shorter vector is a
+    # prefix, and best_approx(f, M) may read only c_0..c_M
     for n_max in (0, 1, 2, 31, 32, 33):
         assert np.array_equal(make().coeffs(n_max), make().coeffs(5000)[: n_max + 1])
 
@@ -489,7 +489,7 @@ def test_parseval_consistency():
     for f in (sawtooth(6), band_limited_fn(np.array([0.3, 0.1, -0.2, 0.9]))):
         c = f.coeffs(64)
         for M in (2, 10, 64):
-            e = best_approx(f, M, coeffs=c)
+            e = best_approx(f, M)
             head = np.sum(np.abs(c[: M + 1]) ** 2)
             assert e**2 + head == pytest.approx(f.l2_norm_sq(), abs=1e-9)
 

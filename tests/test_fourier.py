@@ -27,10 +27,8 @@ from su2fourier.representations import (
     truncation_set,
 )
 from su2fourier.fourier import (
-    _COEFF_BLOCK,
     CentralFn,
     _pl_cos_moments,
-    _quadrature_coeffs,
     band_limited_fn,
     char_fn,
     classical_dirichlet,
@@ -38,6 +36,7 @@ from su2fourier.fourier import (
     const_fn,
     dirichlet_closed,
     dirichlet_direct,
+    from_breakpoints,
     lebesgue_constant,
     left_translate,
     matrix_coeffs,
@@ -45,9 +44,10 @@ from su2fourier.fourier import (
     partial_sum_general,
 )
 from su2fourier.convergence import holder_test_function, sqrt_shift_fn
-from su2fourier.divergence import sawtooth, sawtooth_breakpoints
+from su2fourier.cli import _SPEC_KINDS, parse_central_fn
+from su2fourier.divergence import sawtooth, sawtooth_breakpoints, sawtooth_normalized
 
-from helpers import elements, haar_weights, random_element
+from helpers import elements, haar_weights, quadrature_coeffs, random_element
 
 
 # ---------------------------------------------------------------- coefficients
@@ -57,105 +57,111 @@ def test_coeff_central_character_delta():
     f = char_fn(3)
     for n in range(6):
         want = 1.0 if n == 3 else 0.0
-        assert _quadrature_coeffs(f, n, rule)[n] == pytest.approx(want, abs=1e-11)
+        assert quadrature_coeffs(f, n, rule)[n] == pytest.approx(want, abs=1e-11)
 
 
 def test_coeff_central_constant():
     rule = weyl_grid(6)
     f = const_fn(1.0)
-    assert _quadrature_coeffs(f, 0, rule)[0] == pytest.approx(1.0, abs=1e-13)
-    assert _quadrature_coeffs(f, 4, rule)[4] == pytest.approx(0.0, abs=1e-13)
+    assert quadrature_coeffs(f, 0, rule)[0] == pytest.approx(1.0, abs=1e-13)
+    assert quadrature_coeffs(f, 4, rule)[4] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_coeff_central_cosine():
     # cos(theta) = chi_1 / 2
     rule = weyl_grid(8)
     f = CentralFn(fn=np.cos, name="cos")
-    assert _quadrature_coeffs(f, 1, rule)[1] == pytest.approx(0.5, abs=1e-13)
+    assert quadrature_coeffs(f, 1, rule)[1] == pytest.approx(0.5, abs=1e-13)
     for n in (0, 2, 3):
-        assert _quadrature_coeffs(f, n, rule)[n] == pytest.approx(0.0, abs=1e-13)
+        assert quadrature_coeffs(f, n, rule)[n] == pytest.approx(0.0, abs=1e-13)
 
 
-def _auto_rule(f, n_max):
-    # the graded rule CentralFn.coeffs builds for n_max's bucket of 256
-    bucket = 256 * -(-(n_max + 1) // 256)
-    return weyl_grid(order=bucket // 2 + 8, cusps=f.cusps)
-
-
-def _row_oracle(n_max, nodes, g):
-    # char_table(n_max, nodes) @ g, in node chunks to bound the table
-    return sum(char_table(n_max, nodes[lo : lo + 1024]) @ g[lo : lo + 1024]
-               for lo in range(0, len(nodes), 1024))
-
-
-@pytest.mark.parametrize("make", [lambda: holder_test_function(0.5), sqrt_shift_fn],
-                         ids=["holder:0.5", "sqrtshift"])
-@pytest.mark.parametrize("phase", [1.0, 1.0 - 0.5j], ids=["real", "complex"])
-def test_quadrature_coeffs_match_row_oracle(make, phase):
-    # the blocked addition-formula kernel against one Chebyshev row per index
-    h = make()
-    f = CentralFn(fn=lambda th: phase * h.fn(th), cusps=h.cusps)
-    rule = _auto_rule(f, 4096)
-    want = _row_oracle(4096, rule.nodes, f.fn(rule.nodes) * rule.weights)
-    B = _COEFF_BLOCK
-    for n_max in (0, 1, B - 1, B, B + 1, 4096):
-        got = _quadrature_coeffs(f, n_max, rule)
-        assert got.shape == (n_max + 1,) and np.iscomplexobj(got) == (phase != 1.0)
-        assert np.abs(got - want[: n_max + 1]).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_quadrature_coeffs_match_extended_precision():
-    # the same nodes and values, U_n(cos theta) recurred in np.longdouble
-    f = holder_test_function(0.5)
-    rule = _auto_rule(f, 1024)
-    g = f.fn(rule.nodes) * rule.weights
-    x2 = 2 * np.cos(rule.nodes).astype(np.longdouble)
-    gl = g.astype(np.longdouble)
-    prev, cur = np.zeros_like(x2), np.ones_like(x2)
-    want = np.empty(1025, dtype=np.longdouble)
-    for n in range(1025):
-        want[n] = np.sum(gl * cur)
-        prev, cur = cur, x2 * cur - prev
-    got = _quadrature_coeffs(f, 1024, rule)
-    assert float(np.abs(got - want).max()) <= 1e-14 * float(np.abs(want).max())
-
-
-def _user_sqrt_shift():
-    # the sqrtshift profile as a user supplies it: no closed form, so coeffs
-    # takes the auto-rule quadrature
-    return CentralFn(fn=sqrt_shift_fn().fn, cusps=(np.pi / 2,))
-
-
-def test_coeffs_do_not_depend_on_cache_history():
-    # a bucket is filled whole on its first miss, whichever n_max comes first
-    warm = _user_sqrt_shift()
-    warm.coeffs(4000)
-    assert np.array_equal(warm.coeffs(3900), _user_sqrt_shift().coeffs(3900))
-    assert np.array_equal(_user_sqrt_shift().coeffs(64), _user_sqrt_shift().coeffs(128)[:65])
-
-
-@pytest.mark.parametrize("n_max, limit_mib", [(4096, 32), (16383, 64)])
-def test_quadrature_coeffs_memory_is_bounded(n_max, limit_mib):
-    # node chunks bound the tables to about 16 MiB whatever n_max is
-    f = holder_test_function(0.5)
-    rule = _auto_rule(f, n_max)
-    tracemalloc.start()
-    try:
-        _quadrature_coeffs(f, n_max, rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mib * 2**20
-
-
-@pytest.mark.parametrize("make", [_user_sqrt_shift, lambda: sawtooth(5)], ids=["auto", "exact"])
+@pytest.mark.parametrize("make", [lambda: sawtooth(5)], ids=["exact"])
 def test_coeffs_cached_vector_is_read_only(make):
-    # auto-rule quadrature and closed-form paths both hand out cached vectors
+    # the closed-form path hands out its cached vector
     h = make()
     v = h.coeffs(10)
     with pytest.raises(ValueError):
         v[0] = 99
     assert h.coeffs(10)[0] == make().coeffs(10)[0]
+
+
+_KINKS = tuple(sawtooth_breakpoints(5)[0][1:-1])  # where sawtooth:5 bends
+_EXACT_CASES = {  # one spec per CLI spec kind, its argument picked by type
+    **{f"{kind}:{5 if number is int else 0.5}": None for kind, (number, _) in _SPEC_KINDS.items()},
+    "sqrtshift": None,
+    "band": lambda: band_limited_fn(np.random.default_rng(0).normal(size=9)),
+    "sawtooth-normalized:5": lambda: sawtooth_normalized(5),
+}
+
+
+@pytest.mark.parametrize("label", list(_EXACT_CASES))
+def test_exact_coeffs_and_norm_match_quadrature(label):
+    # every function the CLI can build has exact coefficients and norm: a
+    # family without them raises here.  The oracle rule is graded at the
+    # function's cusps and at the bends of the sawtooth profiles.
+    make = _EXACT_CASES[label]
+    f = parse_central_fn(label) if make is None else make()
+    rule = weyl_grid(100, cusps=tuple(sorted(set(f.cusps) | set(_KINKS))))
+    c = f.coeffs(64)
+    assert np.abs(quadrature_coeffs(f, 64, rule) - c).max() <= 1e-14 * np.abs(c).max()
+    # the closed-form piecewise-linear norm is 2.4e-14 off on sawtooth:5
+    quad = float(np.dot(rule.weights, np.abs(f(rule.nodes)) ** 2))
+    assert f.l2_norm_sq() == pytest.approx(quad, rel=1e-13)
+
+
+def test_central_fn_without_exact_data_raises():
+    f = CentralFn(fn=np.cos, name="cos")
+    for method in (lambda: f.coeffs(4), f.l2_norm_sq):
+        with pytest.raises(NotImplementedError, match="from_breakpoints"):
+            method()
+
+
+@pytest.mark.parametrize(
+    "theta, values",
+    [
+        ([0.5, 2.0], [1.0, 1.0]),  # np.interp would extend the end values
+        ([0.0, 2.0], [1.0, 1.0]),
+        ([0.0, 2.0, 1.0, np.pi], [0.0, 1.0, 2.0, 3.0]),  # unsorted
+        ([0.0, 1.0, 1.0, np.pi], [0.0, 1.0, 2.0, 3.0]),  # repeated angle
+        ([0.0, np.nan, np.pi], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, np.pi], [0.0, np.inf, 2.0]),
+        ([0.0, 1.0, np.pi], [0.0, 1.0]),  # lengths differ
+        ([np.pi], [1.0]),  # one point
+        ([[0.0, np.pi]], [[1.0, 1.0]]),  # not 1-D
+        (0.0, 1.0),
+    ],
+    ids=["short-range", "short-right", "unsorted", "repeated", "nan-angle", "inf-value",
+         "lengths", "one-point", "2-d", "scalar"],
+)
+def test_from_breakpoints_rejects_bad_input(theta, values):
+    with pytest.raises(ValueError):
+        from_breakpoints(theta, values)
+
+
+def test_constructors_copy_their_input():
+    c = np.array([0.3, 0.1, -0.2, 0.9])
+    f = band_limited_fn(c)
+    before = (f(0.4), f.l2_norm_sq(), f.coeffs(5).copy())
+    c[1] = 5.0
+    assert (f(0.4), f.l2_norm_sq()) == before[:2] and np.array_equal(f.coeffs(5), before[2])
+    th, va = sawtooth_breakpoints(5)
+    th, va = th.copy(), va.copy()
+    g = from_breakpoints(th, va)
+    before = (g(0.4), g.l2_norm_sq(), g.coeffs(5).copy())
+    th[1] += 0.1
+    va[1] = 7.0
+    assert (g(0.4), g.l2_norm_sq()) == before[:2] and np.array_equal(g.coeffs(5), before[2])
+
+
+@pytest.mark.parametrize("make", [lambda: char_fn(2), const_fn,
+                                  lambda: band_limited_fn([0.3, 0.1, -0.2])],
+                         ids=["char", "const", "band"])
+def test_band_coeffs_are_read_only(make):
+    f = make()
+    with pytest.raises(ValueError):
+        f.band_coeffs[-1] = 7.0
+    assert f.l2_norm_sq() == make().l2_norm_sq()
 
 
 @pytest.mark.parametrize("n", [5, 17])
@@ -165,7 +171,7 @@ def test_pl_coeffs_quadrature_vs_closed_form(n):
     th, _ = sawtooth_breakpoints(n)
     rule = weyl_grid(2 * n + 16, cusps=tuple(th[1:-1]))
     exact = f.coeffs(n + 4)
-    quad = _quadrature_coeffs(f, n + 4, rule)
+    quad = quadrature_coeffs(f, n + 4, rule)
     assert np.abs(exact - quad).max() < 1e-10
 
 
@@ -209,7 +215,7 @@ def test_parseval_band_limited():
     c = rng.normal(size=51)
     f = band_limited_fn(c)
     rule = weyl_grid(120)
-    got = _quadrature_coeffs(f, 50, rule)
+    got = quadrature_coeffs(f, 50, rule)
     assert np.abs(got - c).max() < 1e-10
     assert np.dot(rule.weights, np.abs(f(rule.nodes)) ** 2) == pytest.approx(
         np.sum(c**2), abs=1e-10
