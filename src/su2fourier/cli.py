@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -179,17 +180,24 @@ def _resolve_output(path: str | None) -> str | None:
 # command handlers: each returns (rows, failures); run() dispatches by argparse
 # --------------------------------------------------------------------------
 
+_KERNEL_BLOCK = 32  # degrees per dirichlet_closed call: bounds its temporaries
+
+
 def _cmd_kernel_check(args):
     if not 0 <= args.exclude < np.pi / 2:  # NaN fails this test too
         raise ValueError(f"--exclude must lie in [0, pi/2), got {args.exclude!r}")
     th = np.linspace(args.exclude, np.pi - args.exclude, args.grid)
-    table = char_table(args.n_max, th)
-    weighted = (np.arange(args.n_max + 1)[:, None] + 1.0) * table
-    direct = np.cumsum(weighted, axis=0)
+    weights = np.arange(args.n_max + 1)[:, None] + 1.0
+    # no name holds the table or its weighted copy, so both are freed before the blocks
+    direct = np.cumsum(weights * char_table(args.n_max, th), axis=0)
+    errs = np.empty(args.n_max + 1)
+    for lo in range(0, args.n_max + 1, _KERNEL_BLOCK):
+        hi = min(lo + _KERNEL_BLOCK, args.n_max + 1)
+        closed = dirichlet_closed(np.arange(lo, hi), th)
+        errs[lo:hi] = np.max(np.abs(direct[lo:hi] - closed), axis=1)
     rows, failures = [], []
     for N in range(args.n_max + 1):
-        closed = dirichlet_closed(N, th)
-        err = float(np.max(np.abs(direct[N] - closed)))
+        err = float(errs[N])
         bound = 1e-8 * (N + 1) ** 3
         ok = err <= bound
         rows.append({"N": N, "max_abs_err": err, "bound": bound, "ok": ok})
@@ -216,7 +224,7 @@ _CHAIN_COLUMNS = (
 def _cmd_chain(args):
     rows, failures = [], []
     for n in args.n:
-        rep = verify_chain(n, nodes_per_cell=args.nodes_per_cell, alpha=args.alpha)
+        rep = verify_chain(n, alpha=args.alpha)
         ok = rep.ok() and rep.identity_error <= CHAIN_IDENTITY_TOL
         rows.append({c: getattr(rep, c) for c in _CHAIN_COLUMNS} | {"ok": ok})
         if not ok:
@@ -310,7 +318,13 @@ def _cmd_uniform_central(args):
     return rows, []
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls in the process.
+
+    Parsing reads it and never changes it, and no handler mutates a parsed
+    default, so every call parses as a fresh parser would.
+    """
     p = argparse.ArgumentParser(prog="su2fourier", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -332,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chain", help="lower-bound chain margins for the witnesses")
     sp.add_argument("--n", type=parse_int_list, default=list(range(2, 65)))
-    sp.add_argument("--nodes-per-cell", type=parse_count, default=8)
     sp.add_argument("--alpha", type=float, default=0.5)
     common(sp, _cmd_chain)
 
@@ -384,9 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
     output = _resolve_output(args.output)

@@ -40,10 +40,39 @@ The functional-norm growth is scale invariant, so either normalization
 witnesses divergence; ``holder_bound`` and ``verify_chain`` report the
 normalized family.
 
-``verify_chain`` evaluates the split and every link of this chain, with
-signed margins.  All the integrals run on the exact breakpoint partition
-(per cell the integrand is linear times trigonometric, so a fixed 8-node
-Gauss rule per cell is exact to machine precision).
+Closed forms.  With M = 2n + 3, the breakpoints 2 pi j/M and slopes of one
+magnitude M/pi (the last segment, of half width, falls from +-1 to 0 at
+pi), integration by parts leaves one geometric sum, which
+(n + 3/2) 2 pi k/M = pi k closes.  The cosine moments are
+
+    I_0 = int_0^pi g_n = (-1)^{n+1} pi/(2M),
+    I_k = int_0^pi g_n cos(k theta)
+        = (-1)^{n+1+k} (2M/(pi k^2)) sin^2(pi k/2M) / cos(pi k/M),   k >= 1,
+
+and everything else follows from them:
+
+    c_m = (I_m - I_{m+2}) / pi,                                   ||f_n||^2 = 1/3,
+    S_n f_n(e) = sum (m+1) c_m
+               = (1/pi) [I_0 + 2 sum_{m=1}^{n} I_m - n I_{n+1} - (n+1) I_{n+2}],
+    oscillatory term = (M/(2 pi)) (I_{n+1} + I_{n+2}),
+    bounded term = (1/pi) [I_0 + 2 sum_{m=1}^{n} I_m + (3/2) I_{n+1} + (1/2) I_{n+2}],
+
+the last two because cos((n+3/2) theta) cos(theta/2) = [cos((n+2) theta) +
+cos((n+1) theta)]/2.  (||f_n||^2 = (1/pi)(int g^2 - int g^2 cos 2 theta),
+int g^2 = pi/3 and the second integral vanishes since 2 is not a multiple of
+M.)  Neither split term cancels: the oscillatory one adds two positive
+moments, and the bounded one adds moments below one in size, not the
+value (about -n/2) and the oscillatory term (about n/2).  The angles of
+the moments and of the cell integrals are reduced as integers (pi k/M by
+k mod 2M) before any sine or cosine, so the forms stay exact to rounding
+at any k and n.
+
+``verify_chain`` evaluates the split and every link of the chain from these
+forms, with signed margins.  The per-interval integrals and the tail piece
+are (linear) x [cos((n+2) theta) + cos((n+1) theta)]/2 on each cell, integrated
+through their explicit antiderivatives.  Every margin is then an exact
+quantity up to rounding (each is >= 0 for n = 2..1024 and n = 2^k up to
+2^16), so a negative margin means the inequality is false.
 
 Left translation L_z f(y) = f(z y) moves the blow-up point: the partial sums
 satisfy S_n(L_z f)(x) = S_n f(z x), so the translated witnesses blow up at
@@ -57,11 +86,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, QuadratureRule, gauss_panels
+from .group import GroupElement, QuadratureRule
 from .fourier import (
     CentralFn,
-    classical_dirichlet,
-    from_breakpoints,
+    _coeffs_from_cos_moments,
     left_translate,
     lebesgue_constant,
     partial_sum_general,
@@ -80,24 +108,68 @@ __all__ = [
 ]
 
 
-def sawtooth_breakpoints(n: int):
-    """Breakpoint angles and values of the witness profile g_n; requires n >= 2."""
+def _period(n: int) -> int:
+    """M = 2n + 3, whose (2 pi/M)-grid holds the breakpoints; requires n >= 2."""
     if n < 2:
         raise ValueError("sawtooth witnesses need n >= 2")
-    M = 2 * n + 3
+    return 2 * n + 3
+
+
+def sawtooth_breakpoints(n: int):
+    """Breakpoint angles and values of the witness profile g_n; requires n >= 2."""
+    M = _period(n)
     th = np.append(2 * np.pi * np.arange(n + 2) / M, np.pi)
     va = np.append((-1.0) ** np.arange(n + 2), 0.0)
     return th, va
+
+
+def _witness_moments(n: int, kmax: int) -> np.ndarray:
+    """I_k = int_0^pi g_n cos(k theta) d(theta) for k = 0..kmax, in closed form.
+
+    sin^2(pi k/2M) reads k mod 2M folded into [0, M], and cos(pi k/M) is
+    sin(pi r/2M) with the integer r = M - 2k folded into [-M, M], so both
+    sines take arguments within pi/2 and round relatively, at any k.
+    """
+    M = _period(n)
+    k = np.arange(1, kmax + 1)
+    q = k % (2 * M)  # both sines have period 2M in k
+    r = M - 2 * q  # in (-3M, M]; sin(pi r/2M) = sin(pi (-2M - r)/2M)
+    r = np.where(r < -M, -2 * M - r, r)
+    q = np.minimum(q, 2 * M - q)  # sin(pi q/2M) = sin(pi (2M - q)/2M)
+    sign = 1.0 - 2.0 * ((n + 1 + k) % 2)
+    I = np.empty(kmax + 1)
+    I[0] = (-1.0) ** (n + 1) * np.pi / (2 * M)
+    I[1:] = sign * (2 * M / np.pi) * np.sin(np.pi * q / (2 * M)) ** 2 / (
+        k**2 * np.sin(np.pi * r / (2 * M))
+    )
+    return I
+
+
+def _witness(n: int, scale: float, name: str) -> CentralFn:
+    """scale * f_n with its closed-form coefficients and norm."""
+    th, va = sawtooth_breakpoints(n)
+    va = scale * va
+    th.flags.writeable = va.flags.writeable = False
+
+    def coeffs(n_max):
+        return scale * _coeffs_from_cos_moments(_witness_moments(n, n_max + 2), n_max)
+
+    return CentralFn(
+        fn=lambda t: np.interp(t, th, va),
+        name=name,
+        norm_sq=scale**2 / 3,
+        closed_form=coeffs,
+    )
 
 
 def sawtooth(n: int) -> CentralFn:
     """The piecewise-linear witness f_n; requires n >= 2.
 
     (For n < 2 the extrema interlacing that drives the lower bounds breaks
-    down, so such witnesses are rejected.)
+    down, so such witnesses are rejected.)  Its coefficients and norm are
+    the closed forms of the module docstring.
     """
-    th, va = sawtooth_breakpoints(n)
-    return from_breakpoints(th, va, name=f"sawtooth:{n}")
+    return _witness(n, 1.0, f"sawtooth:{n}")
 
 
 def sawtooth_normalized(n: int) -> CentralFn:
@@ -106,9 +178,7 @@ def sawtooth_normalized(n: int) -> CentralFn:
     This is the family whose alpha-Hoelder quotients are uniformly bounded
     (by ``holder_bound``, hence by pi); see the module docstring.
     """
-    th, va = sawtooth_breakpoints(n)
-    scale = np.pi / (2 * n + 3)
-    return from_breakpoints(th, scale * va, name=f"sawtooth-normalized:{n}")
+    return _witness(n, np.pi / _period(n), f"sawtooth-normalized:{n}")
 
 
 def holder_bound(n, alpha):
@@ -131,13 +201,14 @@ def holder_bound(n, alpha):
 class ChainReport:
     """The split of S_n f_n(e) and signed margins for every link of its chain.
 
-    ``value`` = ``bounded_term`` - ``oscillatory_term`` is S_n f_n(e); it must
-    agree with the coefficient path ``partial_sum_at_identity``.
-    intervals[k] = (lhs integral over I_k, analytic lower bound, margin).
-    ``final_lower_bound`` is the summed bound (D_{n+1}(pi/(2n+3)) - 1)/3 on
-    the oscillatory term.  ``identity_error`` is |cosine sum - (D-1)/2|.
+    ``value`` = ``bounded_term`` - ``oscillatory_term`` is S_n f_n(e); it
+    agrees with the telescoped coefficient sum ``partial_sum_at_identity`` to
+    rounding.  intervals[k] = (lhs integral over I_k, analytic lower bound,
+    margin).  ``final_lower_bound`` is the summed bound (D_{n+1}(pi/(2n+3)) -
+    1)/3 on the oscillatory term.  ``identity_error`` is |cosine sum - (D-1)/2|.
     ``lip_norm_bound`` bounds sup + Hoelder quotient of the slope-normalized
-    witness at the report's alpha.
+    witness at the report's alpha.  Every quantity is a closed form, so a
+    negative margin means its inequality is false.
     """
 
     n: int
@@ -164,24 +235,34 @@ class ChainReport:
         return self.min_margin >= -tol
 
 
-def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainReport:
-    """Evaluate the split and its inequality chain; margins < 0 flag quadrature trouble.
+def verify_chain(n: int, alpha: float = 0.5) -> ChainReport:
+    """Evaluate the split and its inequality chain in closed form, with signed margins.
 
-    Margin violations are reported, not raised: with adequate per-cell nodes
-    every margin is a true inequality, so a violation signals an
-    under-resolved rule, not bad mathematics.  ``alpha`` is the Hoelder
-    exponent of ``lip_norm_bound``; outside 0 < alpha <= 1, where the
+    Margin violations are reported, not raised; each margin is exact to
+    rounding, so a violation would mean a false inequality.  ``alpha`` is the
+    Hoelder exponent of ``lip_norm_bound``; outside 0 < alpha <= 1, where the
     interpolation behind ``holder_bound`` holds, it raises ValueError.
     """
     if not 0.0 < alpha <= 1.0:  # NaN fails this test too
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    M = 2 * n + 3
-    th, va = sawtooth_breakpoints(n)
-    tt, ww = gauss_panels(th, nodes_per_cell)
-    g = np.interp(tt, th, va)
-    h = np.cos((n + 1.5) * tt)
-    half = np.cos(tt / 2)
-    cell_vals = np.sum(ww * (g * h * half), axis=1)
+    M = _period(n)
+    I = _witness_moments(n, n + 2)
+    # cell j runs from t_j = pi e_j/M to t_{j+1}, with e_j = 2j for j <= n+1 and
+    # e_{n+2} = M (t = pi); on it g falls from v_j = (-1)^j to v_{j+1} (v_{n+2}
+    # = 0) with slope s_j = -(M/pi) v_j.  int g cos(m theta) over the cell is
+    # [g sin(m theta)/m + s_j cos(m theta)/m^2] between its ends, for m = n+1
+    # and n+2, with each angle m t_j = pi (m e_j mod 2M)/M reduced in integers.
+    e = np.arange(0, 2 * n + 5, 2)
+    e[-1] = M
+    m = np.array([[n + 1], [n + 2]])
+    angle = np.pi * ((m * e) % (2 * M)) / M
+    v = (-1.0) ** np.arange(n + 3)
+    v[-1] = 0.0
+    g_sin = v * np.sin(angle) / m
+    cos_t = np.cos(angle)
+    slope = -(M / np.pi) * v[:-1]
+    per_freq = g_sin[:, 1:] - g_sin[:, :-1] + slope * (cos_t[:, 1:] - cos_t[:, :-1]) / m**2
+    cell_vals = (per_freq[0] + per_freq[1]) / 2  # cos((n+3/2)t) cos(t/2), halved
     lhs = cell_vals[: n + 1]
     ks = np.arange(n + 1)
     rhs = (2 * np.pi / (3 * M)) * np.cos((ks + 1) * np.pi / M)
@@ -192,10 +273,10 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
     D = float(1 / np.sin(np.pi / (2 * M)))  # D_{n+1}(pi/M), see the module docstring
     identity_error = abs(cosine_sum - (D - 1) / 2)
 
-    # the split: both products form ww * g first, as the published payloads round it
-    kernel = classical_dirichlet(n + 1, tt.ravel()).reshape(tt.shape)
-    bounded = float(np.sum(ww * g * half**2 * kernel) / np.pi)
-    osc = float(np.sum(ww * g * h * half) * M / np.pi)
+    # the split; the bounded term is summed directly, not as value + osc
+    head = I[0] + 2 * np.sum(I[1 : n + 1])
+    bounded = float((head + 1.5 * I[n + 1] + 0.5 * I[n + 2]) / np.pi)
+    osc = float(M / (2 * np.pi) * (I[n + 1] + I[n + 2]))
     summed = float(np.sum(rhs))  # tail bound is 0
     final = (D - 1) / 3  # = (M/pi) * summed via the cosine identity
     floor = 2 * M / np.pi
@@ -227,9 +308,14 @@ def verify_chain(n: int, nodes_per_cell: int = 8, alpha: float = 0.5) -> ChainRe
 
 
 def partial_sum_at_identity(n: int) -> float:
-    """S_n f_n(e) through the exact coefficient path, chi_m(0) = m+1."""
-    c = sawtooth(n).coeffs(n)
-    return float(np.sum((np.arange(n + 1) + 1) * c))
+    """S_n f_n(e) = sum_{m<=n} (m+1) c_m (chi_m(0) = m+1), telescoped to O(n) moments.
+
+    (1/pi) [I_0 + 2 sum_{m=1}^{n} I_m - n I_{n+1} - (n+1) I_{n+2}]; see the
+    module docstring.
+    """
+    I = _witness_moments(n, n + 2)
+    head = I[0] + 2 * np.sum(I[1 : n + 1])
+    return float((head - n * I[n + 1] - (n + 1) * I[n + 2]) / np.pi)
 
 
 # --------------------------------------------------------------------------

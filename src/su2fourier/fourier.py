@@ -51,6 +51,7 @@ read.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -312,29 +313,43 @@ def _pl_coeffs(th, va, n_max):
     return _coeffs_from_cos_moments(_pl_cos_moments(th, va, n_max + 2), n_max)
 
 
-def _poly2_cos_integral(p0, p1, p2, k, t0, t1):
-    """int_{t0}^{t1} (p0 + p1 t + p2 t^2) cos(k t) dt for k > 0 (array segments)."""
+# (sin x - x cos x) / x^3 = sum_k (-1)^k 2(k+1) x^{2k} / (2k+3)!; below x = 1
+# ten terms reach rounding, and the closed form would lose up to 1/x^2 of it
+_SINC3_SERIES = [(-1) ** k * 2 * (k + 1) / math.factorial(2 * k + 3) for k in range(9, -1, -1)]
 
-    def F(t):
-        s, c = np.sin(k * t), np.cos(k * t)
-        return (
-            p0 * s / k
-            + p1 * (c / k**2 + t * s / k)
-            + p2 * (2 * t * c / k**2 + (t**2 / k - 2 / k**3) * s)
-        )
 
-    return F(t1) - F(t0)
+def _sinc3(x):
+    """(sin x - x cos x) / x^3 for an array x in (0, pi], without cancellation at small x."""
+    small = x < 1.0
+    out = np.polyval(_SINC3_SERIES, x * x)
+    big = x[~small]
+    out[~small] = (np.sin(big) - big * np.cos(big)) / big**3
+    return out
 
 
 def _pl_norm_sq(th, va):
-    """(2/pi) int g^2 sin^2 = (1/pi) (int g^2 - int g^2 cos 2theta), exactly."""
-    t0, t1 = th[:-1], th[1:]
+    """(2/pi) int g^2 sin^2 = (1/pi) (int g^2 - int g^2 cos 2theta), exactly.
+
+    Each segment is integrated about its midpoint c, where g = m + s u with
+    u = theta - c in [-x/2, x/2], x the segment's width, m the mean of its end
+    values and s = dv / x their slope.  Then int g^2 = x (v0^2 + v0 v1 + v1^2)/3
+    and, with E = (sin x - x cos x)/x^3 (``_sinc3``),
+
+        int g^2 cos 2theta = cos 2c [(v0^2 + v1^2)/2 sin x - dv^2 x E/2]
+                             - sin 2c m dv x^2 E,
+
+    so no term grows with the slope, and a steep segment adds no more
+    rounding than a flat one.
+    """
     v0, v1 = va[:-1], va[1:]
-    s = (v1 - v0) / (t1 - t0)
-    A = v0 - s * t0  # g = A + s theta on the segment
-    p0, p1, p2 = A**2, 2 * A * s, s**2
-    plain = p0 * (t1 - t0) + p1 * (t1**2 - t0**2) / 2 + p2 * (t1**3 - t0**3) / 3
-    osc = _poly2_cos_integral(p0, p1, p2, 2.0, t0, t1)
+    x = th[1:] - th[:-1]
+    c2 = th[:-1] + th[1:]
+    dv = v1 - v0
+    E = _sinc3(x)
+    plain = x * (v0**2 + v0 * v1 + v1**2) / 3
+    even = (v0**2 + v1**2) / 2 * np.sin(x) - dv**2 * x * E / 2
+    odd = (v0 + v1) / 2 * dv * x**2 * E
+    osc = np.cos(c2) * even - np.sin(c2) * odd
     return float(np.sum(plain - osc) / np.pi)
 
 
@@ -381,21 +396,36 @@ def classical_dirichlet(n: int, t) -> np.ndarray | float:
     )
 
 
-def classical_dirichlet_deriv(n: int, t) -> np.ndarray | float:
+def _each_degree(n, one):
+    """one(n) for one degree n; for a column of degrees, one(k) for each k, as rows."""
+    if np.ndim(n) == 0:
+        return one(n)
+    return np.array([one(int(k)) for k in n[:, 0]])
+
+
+def classical_dirichlet_deriv(n, t) -> np.ndarray | float:
     """D'_n(t), analytic closed form with the -2 sum j sin(jt) fallback.
 
-    The fallback runs in blocks of j like that of ``classical_dirichlet``;
-    adding -(2j sin(jt)) rounds exactly as subtracting 2j sin(jt) in a loop.
+    ``n`` is one index or a column of indices, which broadcasts against the
+    angles to one row per index.  The quotient broadcasts: its t-only
+    factors sin(t/2), cos(t/2)/2 and sin^2(t/2) are formed once per call,
+    whatever the number of rows, and each row rounds exactly as a call with
+    its own n.  The fallback runs per index, in blocks of j like that of
+    ``classical_dirichlet``; adding -(2j sin(jt)) rounds exactly as
+    subtracting 2j sin(jt) in a loop.
     """
     a = n + 0.5
 
     def quotient(tt, s, m):
         ts, sm = tt[m], s[m]
-        return (a * np.cos(a * ts) * sm - 0.5 * np.cos(ts / 2) * np.sin(a * ts)) / sm**2
+        at = a * ts
+        return (a * np.cos(at) * sm - 0.5 * np.cos(ts / 2) * np.sin(at)) / sm**2
 
     def sine_sum(tt, m):
         tp = tt[m]
-        return _sum_in_blocks(np.zeros_like(tp), n, lambda j: -2 * j * np.sin(j * tp))
+        return _each_degree(
+            n, lambda k: _sum_in_blocks(np.zeros_like(tp), k, lambda j: -2 * j * np.sin(j * tp))
+        )
 
     return pole_safe(t, _half_sine, quotient, sine_sum)
 
@@ -408,17 +438,21 @@ def dirichlet_direct(N: int, theta) -> np.ndarray | float:
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def dirichlet_closed(N: int, theta) -> np.ndarray | float:
+def dirichlet_closed(N, theta) -> np.ndarray | float:
     """D_N(omega(theta)) = -D'_{N+1}(theta) / (2 sin theta).
 
-    Inside |sin theta| < 1e-4 the quotient is replaced by the direct sum,
-    which the character recurrence evaluates stably.
+    ``N`` is one degree, or a 1-D array of degrees that gives one row each;
+    every row is bitwise the call with its own degree, and the angle-only
+    factors are formed once per call.  Inside |sin theta| < 1e-4 the quotient
+    is replaced by the direct sum, which the character recurrence evaluates
+    stably, one degree at a time.
     """
+    n = N if np.ndim(N) == 0 else np.asarray(N)[:, None]
     return pole_safe(
         theta,
         np.sin,
-        lambda th, s, m: -classical_dirichlet_deriv(N + 1, th[m]) / (2 * s[m]),
-        lambda th, m: dirichlet_direct(N, th[m]),
+        lambda th, s, m: -classical_dirichlet_deriv(n + 1, th[m]) / (2 * s[m]),
+        lambda th, m: _each_degree(n, lambda k: dirichlet_direct(k, th[m])),
     )
 
 

@@ -69,16 +69,22 @@ def pole_safe(theta, sine, quotient, fallback) -> np.ndarray | float:
     With th the angles as a 1-D float array, s = sine(th) and the mask
     m = |s| >= CHAR_POLE_THRESHOLD, entries in m take quotient(th, s, m) and
     the rest fallback(th, ~m); each branch indexes th and s with the mask
-    inside its own expression.  A scalar theta gives a float.
+    inside its own expression.  The angles run along the last axis: a branch
+    may return leading axes (one row per degree, say), and then both must
+    return the same ones.  A scalar theta gives a float, or one value per
+    row.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     s = sine(th)
-    out = np.empty_like(th)
     safe = np.abs(s) >= CHAR_POLE_THRESHOLD
-    out[safe] = quotient(th, s, safe)
+    q = quotient(th, s, safe)
+    out = np.empty(q.shape[:-1] + th.shape)
+    out[..., safe] = q
     if (~safe).any():
-        out[~safe] = fallback(th, ~safe)
-    return float(out[0]) if np.ndim(theta) == 0 else out
+        out[..., ~safe] = fallback(th, ~safe)
+    if np.ndim(theta):
+        return out
+    return float(out[0]) if out.ndim == 1 else out[..., 0]
 
 
 def char_eval(n: int, theta) -> np.ndarray | float:

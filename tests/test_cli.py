@@ -6,6 +6,7 @@ import subprocess
 import sys
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import su2fourier
@@ -67,13 +68,15 @@ def test_chain_ok(tmp_path):
     assert all(l.endswith("true") for l in _payload_csv(text).splitlines()[1:])
 
 
-def test_chain_underresolved_exits_one(tmp_path, capsys):
-    code, _ = _run_to_file(
-        tmp_path, "c2.csv", ["chain", "--n", "6..8", "--nodes-per-cell", "1"]
-    )
+def test_chain_false_margin_exits_one(tmp_path, capsys, monkeypatch):
+    # every margin is a true inequality, so falsify one: with a Lebesgue
+    # constant of 0, bounded_vs_lebesgue = -|bounded term| < 0
+    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: 0.0)
+    code, text = _run_to_file(tmp_path, "c2.csv", ["chain", "--n", "6..8"])
     assert code == 1
+    assert all(l.endswith("false") for l in _payload_csv(text).splitlines()[1:])
     err = capsys.readouterr().err
-    assert "FAIL" in err
+    assert err.count("su2fourier: FAIL n=") == 3
 
 
 def test_diverge_small(tmp_path):
@@ -266,13 +269,49 @@ def test_kernel_check_accepts_the_whole_exclude_range(capsys):
 
 
 @pytest.mark.parametrize(
+    "exclude", [1e-3, 0.0, 1.2e-4], ids=["default", "poles", "half-angle-band"]
+)
+def test_kernel_check_rows_are_bitwise_the_per_degree_kernel(tmp_path, exclude):
+    # the handler evaluates blocks of degrees; each row must be what one
+    # dirichlet_closed(N, th) call gives, in both pole bands: exclude 0 puts
+    # theta = 0 and pi in |sin theta| < 1e-4, exclude 1.2e-4 puts grid
+    # points where sin(theta/2) < 1e-4 <= |sin theta| (the sine-sum fallback)
+    th = np.linspace(exclude, np.pi - exclude, 2000)
+    inner = (np.abs(np.sin(th / 2)) < 1e-4) & (np.abs(np.sin(th)) >= 1e-4)
+    assert inner.any() == (exclude == 1.2e-4)
+    assert (np.abs(np.sin(th)) < 1e-4).any() == (exclude == 0.0)
+    table = representations.char_table(200, th)
+    direct = np.cumsum((np.arange(201)[:, None] + 1.0) * table, axis=0)
+    want = [float(np.max(np.abs(direct[N] - fourier.dirichlet_closed(N, th)))) for N in range(201)]
+    code, text = _run_to_file(
+        tmp_path, "k.json", ["kernel-check", "--exclude", repr(exclude), "--format", "json"]
+    )
+    assert code == 0
+    assert [r["max_abs_err"] for r in json.loads(text)["rows"]] == want
+
+
+def test_parser_is_built_once_and_parses_as_a_fresh_one(tmp_path, capsys):
+    def default_chain():
+        _, text = _run_to_file(tmp_path, "chain.json", ["chain", "--format", "json"])
+        return [line for line in text.splitlines() if '"generated_at"' not in line]
+
+    cli._build_parser.cache_clear()
+    fresh = default_chain()
+    cli._build_parser.cache_clear()
+    assert run(["chain", "--n", "3..5", "--alpha", "0.7"]) == 0
+    assert run(["chain", "--alpha"]) == 2
+    capsys.readouterr()
+    assert default_chain() == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["kernel-check", "--grid", "0"],
         ["uniform-central", "--grid", "0"],
         ["partial-sum", "--grid", "0"],
         ["partial-sum", "--grid", "-1"],
-        ["chain", "--n", "4", "--nodes-per-cell", "0"],
     ],
 )
 def test_count_below_one_is_usage_error(argv, capsys):

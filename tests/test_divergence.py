@@ -1,10 +1,12 @@
 """Sawtooth witnesses, Hoelder bounds, and the lower-bound inequality chain."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from su2fourier import divergence
 from su2fourier.group import GroupElement, haar_grid, random_elements
-from su2fourier.fourier import classical_dirichlet, lebesgue_constant
+from su2fourier.fourier import _pl_norm_sq, classical_dirichlet, lebesgue_constant
 from su2fourier.divergence import (
     divergence_table,
     holder_bound,
@@ -15,6 +17,7 @@ from su2fourier.divergence import (
     verify_chain,
 )
 
+from helpers import gauss_chain_split
 from holder_quotients import holder_quotient_estimate
 
 
@@ -156,6 +159,114 @@ def test_split_oscillatory_term_lower_bound():
         assert split.oscillatory_term >= (D - 1) / 3 - 1e-10
 
 
+# ---------------------------------------------------------------- closed forms
+
+def _mp_segment_moment(n, k):
+    """int_0^pi g_n cos(k theta) at 40 digits, segment by segment from its definition."""
+    with mp.workdps(40):
+        M = 2 * n + 3
+        th = [2 * mp.pi * j / M for j in range(n + 2)] + [mp.pi]
+        va = [mp.mpf((-1) ** j) for j in range(n + 2)] + [mp.mpf(0)]
+        total = mp.mpf(0)
+        for t0, t1, v0, v1 in zip(th, th[1:], va, va[1:]):
+            s = (v1 - v0) / (t1 - t0)
+            if k == 0:
+                total += (v0 + v1) / 2 * (t1 - t0)
+            else:
+                total += (v1 * mp.sin(k * t1) - v0 * mp.sin(k * t0)) / k
+                total += s * (mp.cos(k * t1) - mp.cos(k * t0)) / k**2
+        return total
+
+
+def _mp_moments(n):
+    """I_0..I_{n+2} of the closed form at 40 digits; sin(k x) by its recurrence.
+
+    The recurrence keeps about 27 digits at n = 2^16, far more than the
+    float checks need, at a fraction of the cost of one mpmath sine per k.
+    """
+    with mp.workdps(40):
+        M = 2 * n + 3
+        x = mp.pi / (2 * M)
+        two_cos, scale = 2 * mp.cos(x), 2 * M / mp.pi
+        prev, sin_kx = mp.mpf(0), mp.sin(x)
+        I = [(-1) ** (n + 1) * mp.pi / (2 * M)]
+        for k in range(1, n + 3):
+            sq = sin_kx * sin_kx
+            term = scale * sq / (k * k * (1 - 2 * sq))  # cos(pi k/M) = 1 - 2 sin^2(k x)
+            I.append(term if (n + 1 + k) % 2 == 0 else -term)
+            prev, sin_kx = sin_kx, two_cos * sin_kx - prev
+        return I
+
+
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_witness_moments_are_the_segment_integrals(n):
+    # the closed form, including k beyond M and up to the 4098 moments that
+    # sawtooth(5).coeffs(4096) reads, against the profile's own integrals
+    M = 2 * n + 3
+    ks = sorted(set(range(n + 3)) | {M - 1, M, M + 1, 2 * M - 1, 2 * M, 2 * M + 1, 4 * M + 2, 4098})
+    I = divergence._witness_moments(n, 4098)
+    for k in ks:
+        want = _mp_segment_moment(n, k)
+        if k % (2 * M) == 0 and k > 0:
+            assert I[k] == 0.0 and abs(want) < 1e-35
+        else:
+            assert abs(I[k] - want) <= 1e-15 * abs(want), k
+
+
+@pytest.mark.parametrize("n", list(range(2, 65)) + [2**k for k in range(7, 17)])
+def test_witness_closed_forms_match_mpmath(n):
+    M = 2 * n + 3
+    ref = _mp_moments(n)
+    I = divergence._witness_moments(n, n + 2)
+    for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n, n + 1, n + 2}):
+        assert abs(I[k] - ref[k]) <= 1e-15 * abs(ref[k]), k
+    # c_m is a difference of two moments of one sign, which can cancel; its
+    # error is bounded by theirs
+    c = sawtooth(n).coeffs(n)
+    for m in sorted({0, 1, n // 2, n - 1, n}):
+        want = (ref[m] - ref[m + 2]) / mp.pi
+        assert abs(c[m] - want) <= 1e-15 * (abs(ref[m]) + abs(ref[m + 2])) / np.pi, m
+    head = ref[0] + 2 * mp.fsum(ref[1 : n + 1])
+    value = (head - n * ref[n + 1] - (n + 1) * ref[n + 2]) / mp.pi
+    osc = M / (2 * mp.pi) * (ref[n + 1] + ref[n + 2])
+    bounded = (head + 1.5 * ref[n + 1] + 0.5 * ref[n + 2]) / mp.pi
+    rep = verify_chain(n)
+    assert abs(partial_sum_at_identity(n) - value) <= 1e-15 * abs(value)
+    assert abs(rep.oscillatory_term - osc) <= 1e-15 * osc
+    assert abs(rep.bounded_term - bounded) <= 1e-15 * abs(bounded)
+    assert abs(rep.value - partial_sum_at_identity(n)) <= 1e-15 * abs(rep.value)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 1024])
+def test_witness_norms_are_exact(n):
+    # ||f_n||^2 = 1/3, and the segment integrals of from_breakpoints agree
+    th, va = sawtooth_breakpoints(n)
+    assert sawtooth(n).l2_norm_sq() == 1 / 3
+    scale = np.pi / (2 * n + 3)
+    assert sawtooth_normalized(n).l2_norm_sq() == scale**2 / 3
+    assert _pl_norm_sq(th, va) == pytest.approx(1 / 3, rel=1e-15)
+    assert np.array_equal(sawtooth_normalized(n).coeffs(n), scale * sawtooth(n).coeffs(n))
+
+
+def test_split_matches_the_gauss_cell_oracle():
+    # the oracle's own error: cells within 5e-14, so the oscillatory term,
+    # (M/pi) times their sum, within 1.4e-13 relative (n = 2)
+    for n in range(2, 257):
+        cells, osc, bounded = gauss_chain_split(n)
+        rep = verify_chain(n)
+        assert np.abs(rep.intervals[:, 0] - cells[: n + 1]).max() <= 1e-13, n
+        assert abs(rep.tail_integral - cells[n + 1]) <= 1e-13, n
+        assert abs(rep.oscillatory_term - osc) <= 2e-13 * osc, n
+        assert abs(rep.bounded_term - bounded) <= 1e-13, n
+
+
+def test_chain_margins_hold_without_tolerance():
+    # every link is a closed form, so every margin must be a true inequality
+    for n in list(range(2, 1025)) + [2**k for k in range(11, 17)]:
+        rep = verify_chain(n)
+        assert rep.min_margin >= 0.0, (n, rep.margins)
+
+
 # ---------------------------------------------------------------- chain reports
 
 def test_chain_small_n_margins():
@@ -188,10 +299,13 @@ def test_chain_all_margins(n):
     assert rep.lip_norm_bound <= 1 + np.pi + 1e-12
 
 
-def test_chain_underresolved_rule_reports_not_raises():
-    # 1 node per cell cannot integrate the oscillation: margins go negative,
-    # which the report carries instead of raising.
-    rep = verify_chain(8, nodes_per_cell=1)
+def test_chain_false_margin_reports_not_raises(monkeypatch):
+    # a Lebesgue constant of 0 falsifies bounded_vs_lebesgue; the report
+    # carries the negative margin instead of raising
+    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: 0.0)
+    rep = verify_chain(8)
+    assert rep.margins["bounded_vs_lebesgue"] == -abs(rep.bounded_term) < 0
+    assert rep.min_margin == rep.margins["bounded_vs_lebesgue"]
     assert not rep.ok(1e-8)
 
 

@@ -231,6 +231,35 @@ def test_parseval_partial_inequality():
     assert np.all(heads <= norm_sq + 1e-12)
 
 
+def _mp_pl_norm_sq(th, va):
+    """(2/pi) int g^2 sin^2 of the piecewise-linear profile at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        ends = [list(map(mpmath.mpf, a)) for a in (th[:-1], th[1:], va[:-1], va[1:])]
+        for t0, t1, v0, v1 in zip(*ends):
+            s = (v1 - v0) / (t1 - t0)
+            plain = (v1**3 - v0**3) / (3 * s) if s else v0**2 * (t1 - t0)
+
+            def F(t, v):  # a primitive of g^2 cos 2t, g = v at t
+                sin2, cos2 = mpmath.sin(2 * t), mpmath.cos(2 * t)
+                return v * v * sin2 / 2 + s * v * cos2 / 2 - s * s * sin2 / 4
+
+            total += plain - (F(t1, v1) - F(t0, v0))
+        return total / mpmath.pi
+
+
+def test_pl_norm_of_a_steep_profile_matches_mpmath():
+    # over a thousand segments, some of them 1e-9 wide, with values of
+    # alternating sign: slopes reach 1e9, and an expansion of g^2 about
+    # theta = 0 would cancel away most digits
+    rng = np.random.default_rng(5)
+    inner = np.concatenate([rng.uniform(0, np.pi, 1100), np.geomspace(1e-9, 1e-3, 40)])
+    th = np.concatenate([[0.0], np.unique(inner), [np.pi]])
+    va = 3 * rng.uniform(-1, 1, len(th)) * (-1.0) ** np.arange(len(th))
+    want = _mp_pl_norm_sq(th, va)
+    assert abs(from_breakpoints(th, va).l2_norm_sq() - want) <= 1e-14 * want
+
+
 def test_pl_norm_closed_form():
     f = sawtooth(6)
     rule = weyl_grid(40, cusps=tuple(sawtooth_breakpoints(6)[0][1:-1]))
@@ -447,6 +476,18 @@ def test_dirichlet_closed_at_pole_pi():
     for N in (3, 8):
         want = float(np.sum((np.arange(N + 1) + 1.0) ** 2 * (-1.0) ** np.arange(N + 1)))
         assert dirichlet_closed(N, np.pi) == pytest.approx(want, rel=1e-12)
+
+
+def test_dirichlet_closed_rows_are_bitwise_the_per_degree_calls():
+    # both pole bands: |sin theta| < 1e-4 at 0, 5e-5 and pi (direct sum), and
+    # sin(theta/2) < 1e-4 <= |sin theta| at 1.5e-4 (sine-sum fallback)
+    th = np.concatenate(([0.0, 5e-5, 1.5e-4, np.pi], np.linspace(1e-3, 3.1, 97)))
+    degrees = np.array([0, 1, 7, 31, 200])
+    rows = dirichlet_closed(degrees, th)
+    assert rows.shape == (5, 101)
+    for N, row in zip(degrees, rows):
+        assert np.array_equal(row, dirichlet_closed(int(N), th))
+    assert list(dirichlet_closed(degrees, 0.7)) == [dirichlet_closed(int(N), 0.7) for N in degrees]
 
 
 @pytest.mark.parametrize("N", [5, 50])
