@@ -16,14 +16,17 @@ evaluator, ``_euler_slabs``, turns a function into its values on the Euler
 tensor rule, one beta slab at a time, from the Euler phases of the rule's
 ``planes()``; ``matrix_coeffs`` and ``_translate_norms`` (behind the general
 integral modulus in ``convergence``) both stream its slabs, and neither
-forms (a, b) arrays over the whole grid.  A central f, or a left translate
-of one, reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2)
-Q from two real (alpha, gamma) planes built once per call, and a real slab
-enters the gamma transform as one real matrix product against the
-interleaved real and imaginary parts of the transform matrix.  The slabs of
-that two-plane path may run on several threads; ``_each_run`` says when,
-and why results do not depend on it.  Translates compose (L_g L_z f = L_{z g} f), so a translate of
-a translate is evaluated as one.
+forms (a, b) arrays over the whole grid.  ``matrix_coeffs`` keeps of each
+slab's (alpha, gamma) transform only the frequency pairs of equal parity,
+the only ones a degree reads, and sums each degree over beta from views.
+A central f, or a left translate of one, reads Re of the a-entry on each
+slab as cos(beta/2) P + sin(beta/2) Q from two real (alpha, gamma) planes
+built once per call, and a real slab enters the gamma transform as one real
+matrix product against the interleaved real and imaginary parts of the
+transform matrix.  The slabs of that two-plane path may run on several
+threads; ``_each_run`` says when, and why results do not depend on it.
+Translates compose (L_g L_z f = L_{z g} f), so a translate of a translate
+is evaluated as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
@@ -70,7 +73,6 @@ from .group import (
 from .representations import (
     char_eval,
     char_table,
-    euler_diag_freqs,
     pole_safe,
     repr_matrices,
     truncation_set,
@@ -627,7 +629,14 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     a CentralFn or a left translate of one, the Euler phases for any other
     callable.  A real slab multiplies E_gamma as one real matrix product
     against its interleaved real and imaginary parts.  Each slab writes its
-    own row Y[beta], and ``_each_run`` runs the slabs.
+    own rows Y[beta], and ``_each_run`` runs the slabs.
+
+    F_k reads the frequencies k, k - 2, ..., -k on both axes, all of the
+    parity of k, so no degree reads a (mu, nu) pair of mixed parity.  Y is
+    stored as its two diagonal parity blocks, the even-indexed and the
+    odd-indexed rows and columns of each slab's (2 n_max + 1)^2 product,
+    about half of the full store.  In its block, degree k's frequencies are
+    one reversed run of rows and of columns, so the beta sum reads a view.
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_grid rule")
@@ -642,21 +651,26 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     cb, sb = planes[:2]
     slab, split = _euler_slabs(f, planes)
     del planes  # only a general callable's slabs need the phase planes
-    Y = np.empty((len(be), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
+    # Y[par][beta, i, j] holds (mu, nu) = (2i + par - n_max, 2j + par - n_max)
+    Y = [np.empty((len(be), n_max + 1 - par, n_max + 1 - par), dtype=complex) for par in (0, 1)]
 
     def transform(run):
         for ib in run:
             vals = slab(ib)
             if np.iscomplexobj(vals):
-                Y[ib] = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
+                full = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
             else:
-                Y[ib] = Ea @ (vals @ Eg_real).view(complex)
+                full = Ea @ (vals @ Eg_real).view(complex)
+            Y[0][ib] = full[0::2, 0::2]
+            Y[1][ib] = full[1::2, 1::2]
 
     _each_run(transform, len(be), split)
     out = []
     for k, d in enumerate(repr_matrices(n_max, cb, sb)):
-        idx = euler_diag_freqs(k) + n_max
-        Yk = Y[:, idx][:, :, idx]  # [beta, q, p]
+        # frequencies k, k - 2, ..., -k: one reversed run of block (n_max + k) % 2
+        hi, lo = (n_max + k) // 2, (n_max - k) // 2
+        freq = slice(hi, lo - 1 if lo else None, -1)
+        Yk = Y[(n_max + k) % 2][:, freq, freq]  # [beta, q, p], a view
         out.append(np.einsum("b,bqp,bqp->pq", wb, d, Yk))
     return out
 

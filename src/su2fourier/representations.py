@@ -129,6 +129,9 @@ def repr_matrices(n_max: int, a, b):
     Each matrix is one step of the degree recurrence (module docstring) from
     the one before, so a caller that needs every degree walks this once.
     Real (a, b) stay in real arithmetic, which gives the little-d factors.
+    Each yielded matrix is a fresh array.  A step holds, besides the two
+    matrices, one row part and one product scratch, both released before
+    the next yield.
     """
     if n_max < 0:
         raise ValueError(f"degree n must be >= 0, got {n_max}")
@@ -143,15 +146,18 @@ def repr_matrices(n_max: int, a, b):
         k = np.arange(n + 2)
         c = (np.sqrt((n + 1 - k) / (n + 1)), np.sqrt(k / (n + 1)))  # c^u, c^v
         nxt = np.zeros(M.shape[:-2] + (n + 2, n + 2), dtype=M.dtype)
+        part = np.empty(M.shape[:-1] + (n + 2,), dtype=M.dtype)
+        prod = np.empty_like(M)
         for s, (x, y) in enumerate(rows):
             # sum over t: column q of pi_n feeds q (t = u) and q + 1 (t = v)
-            part = np.empty(M.shape[:-1] + (n + 2,), dtype=M.dtype)
             np.multiply(M, x * c[0][:-1], out=part[..., :-1])
             part[..., -1] = 0
-            part[..., 1:] += M * (y * c[1][1:])
+            np.multiply(M, y * c[1][1:], out=prod)
+            part[..., 1:] += prod
             # row p of pi_n feeds p (s = u) and p + 1 (s = v)
             part *= c[s][s : n + 1 + s, None]
             nxt[..., s : n + 1 + s, :] += part
+        del part, prod  # held across the yield, they would outlive their step
         M = nxt
 
 
@@ -164,11 +170,6 @@ def wigner_d(n: int, beta: np.ndarray) -> np.ndarray:
     """Real middle factor d_n(beta) of the Euler factorization, (len, n+1, n+1)."""
     be = np.atleast_1d(np.asarray(beta, dtype=float))
     return deque(repr_matrices(n, np.cos(be / 2), np.sin(be / 2)), maxlen=1)[0]
-
-
-def euler_diag_freqs(n: int) -> np.ndarray:
-    """Frequencies (n - 2p) of the diagonal Euler phase factors, p = 0..n."""
-    return n - 2 * np.arange(n + 1)
 
 
 def truncation_set(mode: str, N: int) -> range:

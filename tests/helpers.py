@@ -1,5 +1,6 @@
-"""Group samples, the Haar rule's flat weights, the translate difference,
-quadrature coefficients, the Gauss-cell split of the witness chain and the
+"""Group samples, the Haar rule's flat weights, the Euler phase frequencies,
+the translate difference, quadrature coefficients, the gathered matrix
+coefficient transform, the Gauss-cell split of the witness chain and the
 benchmark modules, shared by the test suites."""
 
 import importlib.util
@@ -10,9 +11,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from su2fourier.divergence import sawtooth_breakpoints
-from su2fourier.fourier import CentralFn, classical_dirichlet, left_translate
+from su2fourier.fourier import CentralFn, _euler_slabs, classical_dirichlet, left_translate
 from su2fourier.group import GroupElement, gauss_panels, random_elements
-from su2fourier.representations import char_table
+from su2fourier.representations import char_table, repr_matrices
 
 
 def random_element(rng):
@@ -28,6 +29,38 @@ def haar_weights(rule):
     """
     na, nb, ng = len(rule.alpha), len(rule.beta), len(rule.gamma)
     return np.broadcast_to(rule.w_beta[None, :, None] / (na * ng), (na, nb, ng)).ravel()
+
+
+def euler_diag_freqs(n: int) -> np.ndarray:
+    """Frequencies (n - 2p) of the diagonal Euler phase factors, p = 0..n."""
+    return n - 2 * np.arange(n + 1)
+
+
+def gather_matrix_coeffs(f, n_max, rule):
+    """F_0..F_{n_max} from the full (beta, mu, nu) store by gathered blocks.
+
+    The oracle beside ``matrix_coeffs``: the same slabs and slab products,
+    run serially, every frequency pair of each slab stored, and each
+    degree's (beta, q, p) block copied out with fancy indexing before the
+    same beta sum.
+    """
+    freqs = np.arange(-n_max, n_max + 1)
+    Ea = np.exp(-0.5j * np.outer(freqs, rule.alpha)) / len(rule.alpha)
+    Eg = np.exp(-0.5j * np.outer(rule.gamma, freqs)) / len(rule.gamma)
+    planes = rule.planes()
+    slab, _ = _euler_slabs(f, planes)
+    Y = np.empty((len(rule.beta), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
+    for ib in range(len(rule.beta)):
+        vals = slab(ib)
+        if np.iscomplexobj(vals):
+            Y[ib] = Ea @ (vals @ Eg)
+        else:
+            Y[ib] = Ea @ (vals @ Eg.view(float)).view(complex)
+    out = []
+    for k, d in enumerate(repr_matrices(n_max, planes[0], planes[1])):
+        idx = euler_diag_freqs(k) + n_max
+        out.append(np.einsum("b,bqp,bqp->pq", rule.w_beta, d, Y[:, idx][:, :, idx]))
+    return out
 
 
 def delta_translate(f, h: GroupElement):

@@ -47,7 +47,13 @@ from su2fourier.convergence import holder_test_function, sqrt_shift_fn
 from su2fourier.cli import _SPEC_KINDS, parse_central_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints, sawtooth_normalized
 
-from helpers import elements, haar_weights, quadrature_coeffs, random_element
+from helpers import (
+    elements,
+    gather_matrix_coeffs,
+    haar_weights,
+    quadrature_coeffs,
+    random_element,
+)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -321,17 +327,17 @@ def test_matrix_coeffs_euler_path_matches_generic():
         assert np.abs(fast[k] - slow).max() < 1e-13
 
 
+def _complex_general(a, b):
+    g = sawtooth(4)
+    return g.on_group(a, b) * (1 + 0.5j * a.imag) + b * np.conj(a) ** 2 - 0.25j * b.real
+
+
 def test_matrix_coeffs_beta_slabs_match_oracle_general_complex():
     # a complex, non-central integrand exercises every frequency pair of the
     # (alpha, gamma) transform, not just the diagonal a central f reaches
     rule = haar_grid(28)
-    g = sawtooth(4)
-
-    def f(a, b):
-        return g.on_group(a, b) * (1 + 0.5j * a.imag) + b * np.conj(a) ** 2 - 0.25j * b.real
-
-    fast = matrix_coeffs(f, 12, rule)
-    for k, slow in enumerate(_matrix_coeffs_oracle(f, 12, rule)):
+    fast = matrix_coeffs(_complex_general, 12, rule)
+    for k, slow in enumerate(_matrix_coeffs_oracle(_complex_general, 12, rule)):
         assert np.abs(fast[k] - slow).max() < 1e-13
 
 
@@ -381,6 +387,35 @@ def test_matrix_coeffs_real_slabs_match_complex_slabs():
     scale = max(np.abs(F).max() for F in cplx)
     for R, C in zip(real, cplx):
         assert np.abs(R - C).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 12])
+def test_matrix_coeffs_parity_blocks_are_bitwise_the_gathered_store(monkeypatch, n_max):
+    # both parities of n_max, and the degrees whose reversed run ends at the
+    # first row of its block; the translated sawtooth runs split in two
+    monkeypatch.setattr(fourier, "_CPUS", 2)
+    rule = haar_grid(28)
+    z = random_element(np.random.default_rng(8))
+    for f in (_complex_general, left_translate(sawtooth(5), z)):
+        fast = matrix_coeffs(f, n_max, rule)
+        slow = gather_matrix_coeffs(f, n_max, rule)
+        assert len(fast) == len(slow) == n_max + 1
+        for F, G in zip(fast, slow):
+            assert np.array_equal(F, G)
+
+
+def test_matrix_coeffs_memory_is_the_parity_blocks():
+    # the full (beta, mu, nu) store alone is one unit of this scale, and the
+    # gathered blocks of each degree added more: the parent peaked at 2.38
+    n_max, rule = 40, haar_grid(88)
+    full_store = len(rule.beta) * (2 * n_max + 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        matrix_coeffs(_complex_general, n_max, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * full_store
 
 
 def test_left_translate_central_matches_group_product():

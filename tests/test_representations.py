@@ -10,14 +10,13 @@ from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.representations import (
     char_eval,
     char_table,
-    euler_diag_freqs,
     repr_matrices,
     repr_matrix,
     truncation_set,
     wigner_d,
 )
 
-from helpers import haar_weights, random_element
+from helpers import euler_diag_freqs, haar_weights, random_element
 
 
 # ---------------------------------------------------------------- characters
