@@ -235,6 +235,8 @@ def _cmd_chain(args):
 
 
 def _cmd_diverge(args):
+    if min(args.n) < 2:  # checked before the grid, which costs far more than the check
+        raise ValueError(f"--n: sawtooth witnesses need n >= 2, got {args.n}")
     points = parse_points(args.points, args.seed)
     rule = haar_grid(args.order)
     rows, failures = [], []

@@ -90,10 +90,12 @@ from .group import GroupElement, QuadratureRule
 from .fourier import (
     CentralFn,
     _coeffs_from_cos_moments,
+    _projection_sums,
     left_translate,
     lebesgue_constant,
-    partial_sum_general,
+    matrix_coeffs,
 )
+from .representations import truncation_set
 
 __all__ = [
     "sawtooth",
@@ -338,17 +340,23 @@ def divergence_table(points, n_list, rule: QuadratureRule) -> list:
     The first column goes through matrix coefficients of the translated
     witness on the 3D rule; the second is the exact central path.  They agree
     up to the quadrature error of the rough integrand, which the rel_gap
-    column reports.
+    column reports.  Each witness and its exact value are built once per
+    call, so a bad n raises before any grid work.  Each point takes one
+    batched ``matrix_coeffs`` call for every n (one pass over the rule's
+    slabs, sharing the class angle of the translation by z^-1) and one
+    representation walk at z for every projection sum; the rows are bitwise
+    those of one ``partial_sum_general`` call per point and n.
     """
+    witnesses = [(n, sawtooth(n), partial_sum_at_identity(n)) for n in n_list]
+    if not witnesses:
+        return []
+    sets = [truncation_set("polyhedral", n) for n in n_list]
     rows = []
     for z in points:
         zi = z.inverse()
-        for n in n_list:
-            f = sawtooth(n)
-            exact = partial_sum_at_identity(n)
-            general = partial_sum_general(
-                left_translate(f, zi), n, "polyhedral", z, rule
-            )
+        fs = [left_translate(f, zi) for _, f, _ in witnesses]
+        Fs = matrix_coeffs(fs, [r[-1] for r in sets], rule)
+        for (n, _, exact), general in zip(witnesses, _projection_sums(Fs, sets, z)):
             gap = abs(general - exact) / abs(exact)
             rows.append(
                 DivergenceRow(

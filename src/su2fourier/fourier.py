@@ -12,19 +12,22 @@ General square-integrable functions carry matrix coefficients
 with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
 For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  One
-evaluator, ``_euler_slabs``, turns a function into its values on the Euler
-tensor rule, one beta slab at a time, from the Euler phases of the rule's
-``planes()``; ``matrix_coeffs`` and ``_translate_norms`` (behind the general
-integral modulus in ``convergence``) both stream its slabs, and neither
-forms (a, b) arrays over the whole grid.  ``matrix_coeffs`` keeps of each
-slab's (alpha, gamma) transform only the frequency pairs of equal parity,
-the only ones a degree reads, and sums each degree over beta from views.
-A central f, or a left translate of one, reads Re of the a-entry on each
-slab as cos(beta/2) P + sin(beta/2) Q from two real (alpha, gamma) planes
-built once per call, and a real slab enters the gamma transform as one real
-matrix product against the interleaved real and imaginary parts of the
-transform matrix.  The slabs of that two-plane path may run on several
-threads; ``_each_run`` says when, and why results do not depend on it.
+evaluator, ``_euler_slabs``, turns a batch of functions into their values on
+the Euler tensor rule, one beta slab at a time, from the Euler phases of the
+rule's ``planes()``; ``matrix_coeffs`` and ``_translate_norms`` (behind the
+general integral modulus in ``convergence``) both stream its slabs, and
+neither forms (a, b) arrays over the whole grid.  ``matrix_coeffs`` takes one
+function or a batch, whose functions share one pass over the slabs and one
+representation walk; it keeps of each slab's (alpha, gamma) transform only
+the frequency pairs of equal parity, the only ones a degree reads, and sums
+each degree over beta from views.  A central f, or a left translate of one,
+reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from
+two real (alpha, gamma) planes built once per call, and the functions of a
+batch translated by one z read one class angle per slab.  A real slab
+enters the gamma transform as one real matrix product against the
+interleaved real and imaginary parts of the transform matrix.  The slabs of
+that two-plane path may run on several threads; ``_each_run`` says when, and
+why results do not depend on it.
 Translates compose (L_g L_z f = L_{z g} f), so a translate of a translate
 is evaluated as one.
 
@@ -109,9 +112,12 @@ class CentralFn:
     form.  ``norm_sq`` is the exact squared L^2 norm.  The constructors below
     set them and store their arrays read-only.  ``cusps`` lists interior
     angles where the profile is continuous but not smooth, where graded
-    quadrature rules put panel edges.  ``fn`` must be safe to call from
-    several threads at once, unless the function is band-limited: the beta
-    slabs may evaluate it concurrently (see ``_each_run``).
+    quadrature rules put panel edges.  ``fn`` must not write to its
+    argument: on the Euler rule it reads a class angle that other functions
+    of a batch may share, read-only while they do (see ``_euler_slabs``).
+    It must be safe to call from several threads at once, unless the
+    function is band-limited: the beta slabs may evaluate it concurrently
+    (see ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -526,16 +532,17 @@ def _each_run(work, count: int, split: bool) -> None:
     """Call work(run) on contiguous ranges ``run`` that cover range(count).
 
     This is the one account of the beta-slab split of ``matrix_coeffs`` and
-    ``_translate_norms``.  ``split`` is true only on the two-plane path of
-    ``_euler_slabs`` (a CentralFn or a left translate of one) when the
-    profile is not band-limited.  A band-limited profile sums characters
-    through package functions; it and any other callable run on the calling
-    thread only, so that anything wrapped around package functions sees one
-    thread.  With ``split`` true and ``_CPUS`` above one (every usable CPU
-    when BLAS runs on one thread, else one: see ``_split_cpus``),
-    range(count) is cut into min(_CPUS, count) contiguous runs: the calling
-    thread takes the first run and one short-lived thread each of the
-    others, and all are joined before this returns.  If any run raised, the
+    ``_translate_norms``.  ``split`` is true only when every function of
+    ``_euler_slabs``'s batch is on its two-plane path (a CentralFn or a left
+    translate of one) and no profile is band-limited.  A band-limited profile
+    sums characters through package functions; it and any other callable,
+    and every function batched with one, run on the calling thread only, so
+    that anything wrapped around package functions sees one thread.  With
+    ``split`` true and ``_CPUS`` above one (every usable CPU when BLAS runs
+    on one thread, else one: see ``_split_cpus``), range(count) is cut into
+    min(_CPUS, count) contiguous runs: the calling thread takes the first
+    run and one short-lived thread each of the others, and all are joined
+    before this returns.  If any run raised, the
     exception of the lowest-numbered failing run is raised here.  Otherwise
     the calling thread does work(range(count)).
 
@@ -573,46 +580,100 @@ def _each_run(work, count: int, split: bool) -> None:
             raise exc
 
 
-def _euler_slabs(f, planes):
-    """(slab, split) for f on the Euler tensor rule with its ``planes()``.
+def _euler_slabs(fs, planes):
+    """(slab, split) for the functions fs on the Euler rule with its ``planes()``.
 
-    This is the package's one evaluation of a function on that rule, shared
-    by ``matrix_coeffs`` and ``_translate_norms``.  ``slab(ib)`` returns f on
-    beta slab ib as an (alpha, gamma) array.  On that slab y has
+    This is the package's one evaluation of functions on that rule, shared
+    by ``matrix_coeffs`` and ``_translate_norms``.  ``slab(ib)`` yields each
+    function of fs on beta slab ib as an (alpha, gamma) array, in the order
+    of fs and one at a time, so a caller that consumes each before the next
+    holds one value array per slab.  On that slab y has
     a = cos(beta/2) e^{i(alpha+gamma)/2} and b = sin(beta/2)
     e^{i(alpha-gamma)/2}.  A CentralFn (its own translate by z = identity) or
     a left translate of one reads Re of the a-entry z.a a - z.b conj(b) of
     z y as cos(beta/2) P + sin(beta/2) Q with the two real (alpha, gamma)
     planes P = Re(z.a e^{i(alpha+gamma)/2}) and Q = -Re(z.b
-    e^{-i(alpha-gamma)/2}), built once per call, so its slabs form no complex
-    (a, b) arrays.  Any other callable gets the slab's (a, b) arrays from the
-    Euler phases, scaled by cos(beta/2) and sin(beta/2).
+    e^{-i(alpha-gamma)/2}), built once per call for each distinct z, so its
+    slabs form no complex (a, b) arrays.  Each slab computes the class angle
+    of each distinct z once, and every profile translated by that z reads
+    it.  While a later function of fs still has to read that angle, a
+    profile gets a read-only view of it, so writing to its argument raises
+    ValueError; the last reader gets the array itself, because np.interp
+    copies a read-only argument.  Any other callable gets the slab's own
+    (a, b) arrays from the Euler phases, scaled by cos(beta/2) and
+    sin(beta/2).
 
-    ``split`` is the flag of ``_each_run``: true on the two-plane path
-    unless f is band-limited, false for any other callable.
+    ``split`` is the flag of ``_each_run``: true only if every function is
+    on the two-plane path and none is band-limited.
     """
     cb, sb, phase_sum, phase_dif = planes
-    if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
-        g, z = f.f, f.z
-    elif isinstance(f, CentralFn):
-        g, z = f, IDENTITY
-    else:
-        return lambda ib: np.asarray(f(cb[ib] * phase_sum, sb[ib] * phase_dif)), False
-    P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
-    Q = -np.real(z.b * np.conj(phase_dif))
+    zs, planes_of = [], []  # the distinct translations and their (P, Q)
+    evals = []  # (profile, index into zs) on the two-plane path, else (ib -> values, None)
+    for f in fs:
+        if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
+            g, z = f.f, f.z
+        elif isinstance(f, CentralFn):
+            g, z = f, IDENTITY
+        else:  # only a general callable's evaluator holds the phase planes
+            evals.append((lambda ib, f=f: f(cb[ib] * phase_sum, sb[ib] * phase_dif), None))
+            continue
+        if z not in zs:
+            zs.append(z)
+            P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
+            planes_of.append((P, -np.real(z.b * np.conj(phase_dif))))
+        evals.append((g, zs.index(z)))
+    last = {j: i for i, (_, j) in enumerate(evals) if j is not None}  # last reader per z
 
     def slab(ib):
-        # conj_angle_arrays of cos(beta/2) P + sin(beta/2) Q, in place, so each
-        # of the concurrent slabs holds at most two slab-sized temporaries
-        x = cb[ib] * P
-        x += sb[ib] * Q
-        np.clip(x, -1.0, 1.0, out=x)
-        return np.asarray(g.fn(np.arccos(x, out=x)))
+        angles = [None] * len(zs)  # the slab's class angle per translation
+        for i, (g, j) in enumerate(evals):
+            if j is None:
+                yield np.asarray(g(ib))
+                continue
+            if angles[j] is None:
+                # conj_angle_arrays of cos(beta/2) P + sin(beta/2) Q, in place, so
+                # each of the concurrent slabs holds one temporary per distinct z
+                P, Q = planes_of[j]
+                x = cb[ib] * P
+                x += sb[ib] * Q
+                np.clip(x, -1.0, 1.0, out=x)
+                angles[j] = np.arccos(x, out=x)
+            th = angles[j]
+            if i != last[j]:
+                th = th.view()
+                th.flags.writeable = False
+            yield np.asarray(g.fn(th))
 
-    return slab, g.band_coeffs is None
+    return slab, all(j is not None and g.band_coeffs is None for g, j in evals)
 
 
-def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
+def _batch(f, n_max):
+    """([f], [n_max]) for one function, or the batch f with its bounds n_max, checked."""
+    if callable(f):
+        if np.ndim(n_max) != 0:
+            raise ValueError(f"one function takes one bound n_max, got {n_max!r}")
+        fs, bounds = [f], [n_max]
+    else:
+        fs = list(f)
+        if np.ndim(n_max) == 0:
+            raise ValueError(
+                f"a batch of functions needs a sequence of bounds n_max, one per "
+                f"function, got {n_max!r}"
+            )
+        bounds = list(n_max)
+        if len(bounds) != len(fs):
+            raise ValueError(
+                f"the batch has {len(fs)} function(s) but {len(bounds)} bound(s) n_max"
+            )
+        if not fs:
+            raise ValueError("a batch of functions needs at least one function")
+    for n in bounds:
+        if n < 0:
+            raise ValueError(f"n_max must be >= 0, got {n}")
+    return fs, bounds
+
+
+def matrix_coeffs(f, n_max, rule: QuadratureRule) -> list:
     """All F_k = int f(x) pi_k(x)^* d(mu)(x) for k = 0..n_max in one pass.
 
     f is a CentralFn or a batch callable on (a, b) arrays, and ``rule`` the
@@ -624,6 +685,17 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     each slab's two transforms are matrix products, Y[beta] = E_alpha @
     f(slab) @ E_gamma (Kostelec & Rockmore, FFTs on the rotation group, JFAA
     2008).  A weighted beta sum against d_k then gives each F_k.
+
+    f may also be a sequence of such functions with a sequence n_max of as
+    many bounds; the call then returns one F_0..F_{n_max} list per function,
+    each bitwise what the call with that function alone returns.  The batch
+    shares one streamed pass: one ``planes()``, one ``_each_run``, one
+    ``repr_matrices`` walk up to the largest bound, one E_alpha and E_gamma
+    per distinct bound, and on each slab one class angle per distinct
+    translation (see ``_euler_slabs``).  Each slab transforms and stores one
+    function before it evaluates the next.  A sequence f with one bound,
+    bounds of another length, an empty batch or a negative bound raises
+    ValueError.
 
     The slabs come from ``_euler_slabs``: two real (alpha, gamma) planes for
     a CentralFn or a left translate of one, the Euler phases for any other
@@ -640,39 +712,50 @@ def matrix_coeffs(f, n_max: int, rule: QuadratureRule) -> list:
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("matrix coefficients need a haar_grid rule")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    fs, bounds = _batch(f, n_max)
     al, be, wb, ga = rule.alpha, rule.beta, rule.w_beta, rule.gamma
-    freqs = np.arange(-n_max, n_max + 1)
-    Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
-    Eg = np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
-    Eg_real = Eg.view(float)  # [gamma, (re, im) of each nu]
+    transforms = {}  # n_max -> (E_alpha, E_gamma)
+    for n in bounds:
+        if n not in transforms:
+            freqs = np.arange(-n, n + 1)
+            Ea = np.exp(-0.5j * np.outer(freqs, al)) / len(al)
+            transforms[n] = Ea, np.exp(-0.5j * np.outer(ga, freqs)) / len(ga)
     planes = rule.planes()
     cb, sb = planes[:2]
-    slab, split = _euler_slabs(f, planes)
+    slab, split = _euler_slabs(fs, planes)
     del planes  # only a general callable's slabs need the phase planes
-    # Y[par][beta, i, j] holds (mu, nu) = (2i + par - n_max, 2j + par - n_max)
-    Y = [np.empty((len(be), n_max + 1 - par, n_max + 1 - par), dtype=complex) for par in (0, 1)]
+    # Y[par][beta, i, j] holds (mu, nu) = (2i + par - n, 2j + par - n), per function
+    Ys = [[np.empty((len(be), n + 1 - par, n + 1 - par), dtype=complex) for par in (0, 1)]
+          for n in bounds]
 
     def transform(run):
         for ib in run:
-            vals = slab(ib)
-            if np.iscomplexobj(vals):
-                full = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
-            else:
-                full = Ea @ (vals @ Eg_real).view(complex)
-            Y[0][ib] = full[0::2, 0::2]
-            Y[1][ib] = full[1::2, 1::2]
+            stores = iter(zip(bounds, Ys))
+            # not zipped with the stores: zip would hold each vals while the
+            # slab evaluates the next function
+            for vals in slab(ib):
+                n, Y = next(stores)
+                Ea, Eg = transforms[n]
+                if np.iscomplexobj(vals):
+                    full = Ea @ (vals @ Eg)  # [mu(alpha), nu(gamma)]
+                else:  # Eg as [gamma, (re, im) of each nu]
+                    full = Ea @ (vals @ Eg.view(float)).view(complex)
+                Y[0][ib] = full[0::2, 0::2]
+                Y[1][ib] = full[1::2, 1::2]
+                del vals  # released before the slab evaluates the next function
 
     _each_run(transform, len(be), split)
-    out = []
-    for k, d in enumerate(repr_matrices(n_max, cb, sb)):
-        # frequencies k, k - 2, ..., -k: one reversed run of block (n_max + k) % 2
-        hi, lo = (n_max + k) // 2, (n_max - k) // 2
-        freq = slice(hi, lo - 1 if lo else None, -1)
-        Yk = Y[(n_max + k) % 2][:, freq, freq]  # [beta, q, p], a view
-        out.append(np.einsum("b,bqp,bqp->pq", wb, d, Yk))
-    return out
+    out = [[] for _ in fs]
+    for k, d in enumerate(repr_matrices(max(bounds), cb, sb)):
+        for n, Y, F in zip(bounds, Ys, out):
+            if k > n:
+                continue
+            # frequencies k, k - 2, ..., -k: one reversed run of block (n + k) % 2
+            hi, lo = (n + k) // 2, (n - k) // 2
+            freq = slice(hi, lo - 1 if lo else None, -1)
+            Yk = Y[(n + k) % 2][:, freq, freq]  # [beta, q, p], a view
+            F.append(np.einsum("b,bqp,bqp->pq", wb, d, Yk))
+    return out[0] if callable(f) else out
 
 
 def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
@@ -683,21 +766,24 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     call; f itself is evaluated once per slab, and each squared norm is the
     beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  ``_each_run``
     runs the slabs; each run holds f on its own slabs and visits every
-    direction, and each slab stores its weighted term.
+    direction, one evaluator of one function each, and each slab stores its
+    weighted term.  (Evaluating all directions per slab as one batch was
+    bitwise the same but slower.)
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
     planes = rule.planes()
-    slab, split = _euler_slabs(f, planes)
+    slab, split = _euler_slabs([f], planes)
     translates = [left_translate(f, h.inverse()) for h in hs]
     terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]
 
     def fill(run):
-        base = [slab(ib) for ib in run]
+        base = [fb for ib in run for fb in slab(ib)]
         for row, fh in zip(terms, translates):
-            moved, _ = _euler_slabs(fh, planes)
+            moved, _ = _euler_slabs([fh], planes)
             for ib, fb in zip(run, base):
-                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - moved(ib)) ** 2)
+                [fm] = moved(ib)
+                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - fm) ** 2)
 
     _each_run(fill, len(rule.beta), split)
     per_slab = len(rule.alpha) * len(rule.gamma)
@@ -710,12 +796,22 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     return norms
 
 
+def _projection_sums(Fs, sets, x: GroupElement) -> list:
+    """sum over each truncation set r of (k+1) tr(F_k pi_k(x)), one per (F, r).
+
+    Fs holds one F_0..F_{r[-1]} list per set.  One ``repr_matrices`` walk up
+    to the largest degree serves every set; each sum adds its terms in k
+    order, as a walk of its own would.
+    """
+    totals = [0.0 + 0.0j for _ in sets]
+    for k, Pi in enumerate(repr_matrices(max(r[-1] for r in sets), x.a, x.b)):
+        for i, (F, r) in enumerate(zip(Fs, sets)):
+            if k in r:
+                totals[i] += (k + 1) * np.trace(F[k] @ Pi)
+    return [complex(t) for t in totals]
+
+
 def partial_sum_general(f, N: int, mode: str, x: GroupElement, rule: QuadratureRule):
     """sum over the truncation set of (k+1) tr(F_k pi_k(x))."""
     r = truncation_set(mode, N)
-    F = matrix_coeffs(f, r[-1], rule)
-    total = 0.0 + 0.0j
-    for k, Pi in enumerate(repr_matrices(r[-1], x.a, x.b)):
-        if k in r:
-            total += (k + 1) * np.trace(F[k] @ Pi)
-    return complex(total)
+    return _projection_sums([matrix_coeffs(f, r[-1], rule)], [r], x)[0]

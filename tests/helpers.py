@@ -1,7 +1,7 @@
 """Group samples, the Haar rule's flat weights, the Euler phase frequencies,
 the translate difference, quadrature coefficients, the gathered matrix
-coefficient transform, the Gauss-cell split of the witness chain and the
-benchmark modules, shared by the test suites."""
+coefficient transform, the per-n divergence rows, the Gauss-cell split of the
+witness chain and the benchmark modules, shared by the test suites."""
 
 import importlib.util
 import sys
@@ -10,8 +10,19 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from su2fourier.divergence import sawtooth_breakpoints
-from su2fourier.fourier import CentralFn, _euler_slabs, classical_dirichlet, left_translate
+from su2fourier.divergence import (
+    DivergenceRow,
+    partial_sum_at_identity,
+    sawtooth,
+    sawtooth_breakpoints,
+)
+from su2fourier.fourier import (
+    CentralFn,
+    _euler_slabs,
+    classical_dirichlet,
+    left_translate,
+    partial_sum_general,
+)
 from su2fourier.group import GroupElement, gauss_panels, random_elements
 from su2fourier.representations import char_table, repr_matrices
 
@@ -48,10 +59,10 @@ def gather_matrix_coeffs(f, n_max, rule):
     Ea = np.exp(-0.5j * np.outer(freqs, rule.alpha)) / len(rule.alpha)
     Eg = np.exp(-0.5j * np.outer(rule.gamma, freqs)) / len(rule.gamma)
     planes = rule.planes()
-    slab, _ = _euler_slabs(f, planes)
+    slab, _ = _euler_slabs([f], planes)
     Y = np.empty((len(rule.beta), 2 * n_max + 1, 2 * n_max + 1), dtype=complex)
     for ib in range(len(rule.beta)):
-        vals = slab(ib)
+        [vals] = slab(ib)
         if np.iscomplexobj(vals):
             Y[ib] = Ea @ (vals @ Eg)
         else:
@@ -61,6 +72,27 @@ def gather_matrix_coeffs(f, n_max, rule):
         idx = euler_diag_freqs(k) + n_max
         out.append(np.einsum("b,bqp,bqp->pq", rule.w_beta, d, Y[:, idx][:, :, idx]))
     return out
+
+
+def divergence_rows(points, n_list, rule):
+    """The oracle beside ``divergence_table``: one ``partial_sum_general`` call
+    per point and n, each with its own witness and exact value."""
+    rows = []
+    for z in points:
+        zi = z.inverse()
+        for n in n_list:
+            exact = partial_sum_at_identity(n)
+            f = left_translate(sawtooth(n), zi)
+            general = partial_sum_general(f, n, "polyhedral", z, rule)
+            rows.append(DivergenceRow(
+                z=z,
+                n=n,
+                general_abs=abs(general),
+                central_abs=abs(exact),
+                rel_gap=float(abs(general - exact) / abs(exact)),
+                growth=abs(exact) / n,
+            ))
+    return rows
 
 
 def delta_translate(f, h: GroupElement):

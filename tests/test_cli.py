@@ -356,6 +356,17 @@ def test_points_spec_without_a_positive_count_is_usage_error(spec, capsys):
     assert err == f"su2fourier: points spec {spec!r} needs a count K >= 1\n"
 
 
+def test_diverge_checks_n_before_the_grid(monkeypatch, capsys):
+    def no_grid(order):
+        raise AssertionError("haar_grid called before --n was checked")
+
+    monkeypatch.setattr(cli, "haar_grid", no_grid)
+    assert run(["diverge", "--n", "16,1", "--order", "256", "--points", "random:2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "su2fourier: --n: sawtooth witnesses need n >= 2, got [16, 1]\n"
+
+
 @pytest.mark.parametrize(
     "spec, problem",
     [

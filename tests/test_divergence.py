@@ -17,7 +17,7 @@ from su2fourier.divergence import (
     verify_chain,
 )
 
-from helpers import gauss_chain_split
+from helpers import divergence_rows, gauss_chain_split
 from holder_quotients import holder_quotient_estimate
 
 
@@ -346,3 +346,22 @@ def test_divergence_table_random_point():
     rule = haar_grid(96)
     rows = divergence_table([z], [8], rule)
     assert rows[0].rel_gap < 1e-4
+
+
+def test_divergence_table_is_bitwise_the_per_n_oracle():
+    # n out of order and repeated: every row keeps its place and its bits
+    a, b = random_elements(np.random.default_rng(9), 2)
+    points = [GroupElement(complex(x), complex(y)) for x, y in zip(a, b)]
+    points.append(GroupElement(1.0 + 0j, 0j))
+    rule = haar_grid(24)
+    n_list = [5, 2, 8, 5]
+    assert divergence_table(points, n_list, rule) == divergence_rows(points, n_list, rule)
+
+
+def test_divergence_table_rejects_a_bad_n_before_the_grid():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        divergence_table([GroupElement(1.0 + 0j, 0j)], [4, 1], None)
+
+
+def test_divergence_table_without_n_has_no_rows():
+    assert divergence_table([GroupElement(1.0 + 0j, 0j)], [], None) == []

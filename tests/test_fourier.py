@@ -351,6 +351,27 @@ def test_matrix_coeffs_rejects_negative_n_max():
         matrix_coeffs(sawtooth(3), -1, haar_grid(8))
 
 
+def test_matrix_coeffs_batch_rejects_negative_n_max_as_one_call_does():
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        matrix_coeffs([sawtooth(3), sawtooth(4)], [2, -1], haar_grid(8))
+
+
+@pytest.mark.parametrize(
+    "f, n_max, problem",
+    [
+        ([sawtooth(3), sawtooth(4)], 2, "needs a sequence of bounds n_max, one per function"),
+        ([sawtooth(3), sawtooth(4)], [2], r"has 2 function\(s\) but 1 bound\(s\)"),
+        ([sawtooth(3)], [2, 3], r"has 1 function\(s\) but 2 bound\(s\)"),
+        ([], [], "needs at least one function"),
+        (sawtooth(3), [2], "one function takes one bound"),
+    ],
+    ids=["batch-one-bound", "fewer-bounds", "more-bounds", "empty", "one-function-a-list"],
+)
+def test_matrix_coeffs_batch_usage_errors(f, n_max, problem):
+    with pytest.raises(ValueError, match=problem):
+        matrix_coeffs(f, n_max, haar_grid(8))
+
+
 @pytest.mark.parametrize("order", [10, 16])
 @pytest.mark.parametrize(
     "make",

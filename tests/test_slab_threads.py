@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,9 +25,15 @@ from su2fourier.convergence import (
     integral_modulus,
     modulus_profile,
 )
-from su2fourier.divergence import sawtooth
+from su2fourier.divergence import divergence_table, sawtooth
 from su2fourier.fourier import CentralFn, band_limited_fn, left_translate, matrix_coeffs
-from su2fourier.group import GroupElement, conj_angle_arrays, haar_grid, random_elements
+from su2fourier.group import (
+    GroupElement,
+    QuadratureRule,
+    conj_angle_arrays,
+    haar_grid,
+    random_elements,
+)
 
 from helpers import load_spans as _load_spans
 
@@ -58,11 +65,12 @@ def test_central_slab_is_the_class_angle_of_the_two_planes():
     P = np.real(Z.a * np.exp(1j * ((al + ga) / 2)))
     Q = -np.real(Z.b * np.exp(-1j * ((al - ga) / 2)))
     cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
-    slab, split = fourier._euler_slabs(left_translate(g, Z), rule.planes())
+    slab, split = fourier._euler_slabs([left_translate(g, Z)], rule.planes())
     assert split
     for ib in range(len(rule.beta)):
         want = g.fn(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None))
-        assert np.array_equal(slab(ib), want), ib
+        [got] = slab(ib)
+        assert np.array_equal(got, want), ib
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
@@ -72,6 +80,93 @@ def test_matrix_coeffs_split_is_bitwise_the_serial_loop(monkeypatch, cpus):
         assert len(split) == len(serial) == 5
         for k, (got, want) in enumerate(zip(split, serial)):
             assert np.array_equal(got, want), (name, k)
+
+
+def _complex_general(a, b):
+    return sawtooth(4).on_group(a, b) * (1 + 0.5j * a.imag) + b * np.conj(a) ** 2
+
+
+Z2 = GroupElement(*(complex(x[0]) for x in random_elements(np.random.default_rng(4), 1)))
+
+
+def _batch(mixed):
+    """Two translates by Z, one by Z2, an untranslated profile; when mixed, also a
+    band-limited translate and a complex general callable (the batch then runs
+    serially)."""
+    fs = [
+        left_translate(sawtooth(5), Z),
+        left_translate(holder_test_function(0.5), Z),
+        left_translate(sawtooth(3), Z2),
+        sawtooth(4),
+    ]
+    if mixed:
+        band = band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j]))
+        fs += [left_translate(band, Z2), _complex_general]
+    return fs, [4, 3, 4, 0, 2, 5][: len(fs)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["central", "mixed"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_matrix_coeffs_batch_is_bitwise_the_single_calls(monkeypatch, cpus, mixed):
+    fs, bounds = _batch(mixed)
+    assert fourier._euler_slabs(fs, RULE.planes())[1] is not mixed
+    monkeypatch.setattr(fourier, "_CPUS", 1)
+    singles = [matrix_coeffs(f, n, RULE) for f, n in zip(fs, bounds)]
+    monkeypatch.setattr(fourier, "_CPUS", cpus)
+    batch = matrix_coeffs(fs, bounds, RULE)
+    assert len(batch) == len(fs)
+    for i, (got, want, n) in enumerate(zip(batch, singles, bounds)):
+        assert len(got) == len(want) == n + 1
+        for k, (G, W) in enumerate(zip(got, want)):
+            assert np.array_equal(G, W), (i, k)
+
+
+def test_batch_shares_one_class_angle_per_translation_and_slab():
+    seen = []
+
+    def profile(th):
+        seen.append(th)
+        return np.cos(th)
+
+    fs = [left_translate(CentralFn(fn=profile), z) for z in (Z, Z2, Z)] + [sawtooth(4)]
+    slab, _ = fourier._euler_slabs(fs, RULE.planes())
+    values = list(slab(3))
+    assert len(values) == 4 and len(seen) == 3
+    assert np.shares_memory(seen[0], seen[2]) and not np.shares_memory(seen[0], seen[1])
+    # read-only only while a later function reads the same angle
+    assert [th.flags.writeable for th in seen] == [False, True, True]
+
+
+def _mutating(th):
+    th *= 2
+    return np.cos(th)
+
+
+def test_profile_writing_to_a_shared_angle_raises():
+    fs = [left_translate(CentralFn(fn=_mutating), Z), left_translate(sawtooth(5), Z)]
+    with pytest.raises(ValueError, match="read-only"):
+        matrix_coeffs(fs, [2, 2], RULE)
+
+
+def test_profile_writing_to_its_angle_last_corrupts_no_other_function():
+    fs = [left_translate(sawtooth(5), Z), left_translate(CentralFn(fn=_mutating), Z)]
+    batch = matrix_coeffs(fs, [2, 2], RULE)
+    for got, f in zip(batch, fs):
+        for G, W in zip(got, matrix_coeffs(f, 2, RULE)):
+            assert np.array_equal(G, W)
+
+
+def test_batch_releases_each_value_array_before_the_next_function():
+    returned = []
+
+    def general(a, b):
+        assert all(r() is None for r in returned), "an earlier slab value is still held"
+        vals = np.real(a) * np.real(b)
+        returned.append(weakref.ref(vals))
+        return vals
+
+    matrix_coeffs([general, general, general], [2, 3, 2], RULE)
+    assert len(returned) == 3 * len(RULE.beta)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
@@ -93,13 +188,14 @@ def test_modulus_split_is_bitwise_the_serial_loop(monkeypatch, cpus):
 def _serial_translate_norms(f, hs, rule):
     """The single-threaded slab loop: sq += w_beta * sum |f - f(h^{-1} .)|^2."""
     planes = rule.planes()
-    slab, _ = fourier._euler_slabs(f, planes)
+    slab, _ = fourier._euler_slabs([f], planes)
     norms = []
     for h in hs:
-        moved, _ = fourier._euler_slabs(left_translate(f, h.inverse()), planes)
+        moved, _ = fourier._euler_slabs([left_translate(f, h.inverse())], planes)
         sq = 0.0
         for ib, w in enumerate(rule.w_beta):
-            sq += w * np.sum(np.abs(slab(ib) - moved(ib)) ** 2)
+            [fb], [fm] = slab(ib), moved(ib)
+            sq += w * np.sum(np.abs(fb - fm) ** 2)
         norms.append(float(np.sqrt(sq / (len(rule.alpha) * len(rule.gamma)))))
     return norms
 
@@ -138,6 +234,29 @@ def test_one_thread_start_per_modulus_call(monkeypatch):
     monkeypatch.setattr(fourier.threading, "Thread", CountingThread)
     integral_modulus(left_translate(sawtooth(5), Z), 0.3, sample_count=4, rule=RULE)
     assert len(starts) == 1
+
+
+def test_one_thread_start_and_one_planes_call_per_divergence_point(monkeypatch):
+    monkeypatch.setattr(fourier, "_CPUS", 2)
+    starts, planes = [], []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    build = QuadratureRule.planes
+
+    def counting_planes(rule):
+        planes.append(rule)
+        return build(rule)
+
+    monkeypatch.setattr(fourier.threading, "Thread", CountingThread)
+    monkeypatch.setattr(QuadratureRule, "planes", counting_planes)
+    rows = divergence_table([Z, Z2], [4, 8, 16], RULE)
+    assert len(rows) == 6
+    assert len(starts) == 2
+    assert planes == [RULE, RULE]
 
 
 def test_split_under_frequent_thread_switches(monkeypatch):
@@ -283,7 +402,7 @@ def test_band_limited_profile_runs_on_the_calling_thread_only(monkeypatch):
 
     band.fn = profile
     f = left_translate(band, Z)
-    assert not fourier._euler_slabs(f, RULE.planes())[1]
+    assert not fourier._euler_slabs([f], RULE.planes())[1]
     matrix_coeffs(f, 2, RULE)
     integral_modulus(f, 0.3, sample_count=2, rule=RULE)
     assert len(threads) > len(RULE.beta)
