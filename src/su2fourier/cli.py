@@ -235,8 +235,11 @@ def _cmd_chain(args):
 
 
 def _cmd_diverge(args):
-    if min(args.n) < 2:  # checked before the grid, which costs far more than the check
-        raise ValueError(f"--n: sawtooth witnesses need n >= 2, got {args.n}")
+    for n in args.n:  # the witnesses check n before the grid, which costs far more
+        try:
+            sawtooth(n)
+        except ValueError as exc:
+            raise ValueError(f"--n: {exc}, got {args.n}") from None
     points = parse_points(args.points, args.seed)
     rule = haar_grid(args.order)
     rows, failures = [], []

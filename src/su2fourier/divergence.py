@@ -91,6 +91,7 @@ from .fourier import (
     CentralFn,
     _coeffs_from_cos_moments,
     _projection_sums,
+    _store_runs,
     left_translate,
     lebesgue_constant,
     matrix_coeffs,
@@ -341,31 +342,34 @@ def divergence_table(points, n_list, rule: QuadratureRule) -> list:
     witness on the 3D rule; the second is the exact central path.  They agree
     up to the quadrature error of the rough integrand, which the rel_gap
     column reports.  Each witness and its exact value are built once per
-    call, so a bad n raises before any grid work.  Each point takes one
-    batched ``matrix_coeffs`` call for every n (one pass over the rule's
-    slabs, sharing the class angle of the translation by z^-1) and one
-    representation walk at z for every projection sum; the rows are bitwise
-    those of one ``partial_sum_general`` call per point and n.
+    call, so a bad n raises before any grid work.  At each point, n_list
+    goes in consecutive runs (``_store_runs``: a run's Y stores total at most
+    twice the largest single one) and each run takes one batched
+    ``matrix_coeffs`` call (one pass over the rule's slabs, sharing the class
+    angle of the translation by z^-1) and one representation walk at z for
+    its projection sums.  A short list such as 4, 8, 16 is one run.  The rows
+    are bitwise those of one ``partial_sum_general`` call per point and n.
     """
     witnesses = [(n, sawtooth(n), partial_sum_at_identity(n)) for n in n_list]
-    if not witnesses:
-        return []
     sets = [truncation_set("polyhedral", n) for n in n_list]
+    runs = _store_runs([r[-1] for r in sets])
     rows = []
     for z in points:
         zi = z.inverse()
-        fs = [left_translate(f, zi) for _, f, _ in witnesses]
-        Fs = matrix_coeffs(fs, [r[-1] for r in sets], rule)
-        for (n, _, exact), general in zip(witnesses, _projection_sums(Fs, sets, z)):
-            gap = abs(general - exact) / abs(exact)
-            rows.append(
-                DivergenceRow(
-                    z=z,
-                    n=n,
-                    general_abs=abs(general),
-                    central_abs=abs(exact),
-                    rel_gap=float(gap),
-                    growth=abs(exact) / n,
+        for run in runs:
+            fs = [left_translate(f, zi) for _, f, _ in witnesses[run]]
+            bounds = [r[-1] for r in sets[run]]
+            sums = _projection_sums(matrix_coeffs(fs, bounds, rule), sets[run], z)
+            for (n, _, exact), general in zip(witnesses[run], sums):
+                gap = abs(general - exact) / abs(exact)
+                rows.append(
+                    DivergenceRow(
+                        z=z,
+                        n=n,
+                        general_abs=abs(general),
+                        central_abs=abs(exact),
+                        rel_gap=float(gap),
+                        growth=abs(exact) / n,
+                    )
                 )
-            )
     return rows

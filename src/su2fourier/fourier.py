@@ -758,6 +758,28 @@ def matrix_coeffs(f, n_max, rule: QuadratureRule) -> list:
     return out[0] if callable(f) else out
 
 
+def _store_runs(bounds) -> list:
+    """Consecutive runs of bounds, as slices, for one ``matrix_coeffs`` batch each.
+
+    A batch holds the parity-block Y store of every function, (n + 1)^2 + n^2
+    entries per beta node for bound n, until its beta sums end.  A run grows
+    while its stores total at most twice the largest single store, so a
+    batch of a long list of bounds holds at most about twice the memory of
+    its largest single call, and a few small bounds share a larger one's pass.
+    """
+    sizes = [(n + 1) ** 2 + n**2 for n in bounds]
+    cap = 2 * max(sizes, default=0)
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > cap:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        runs.append(slice(start, len(sizes)))
+    return runs
+
+
 def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     """||delta_h f||_{L^2} over the Haar rule for each h in hs.
 

@@ -1,12 +1,19 @@
 """Sawtooth witnesses, Hoelder bounds, and the lower-bound inequality chain."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from su2fourier import divergence
 from su2fourier.group import GroupElement, haar_grid, random_elements
-from su2fourier.fourier import _pl_norm_sq, classical_dirichlet, lebesgue_constant
+from su2fourier.fourier import (
+    _pl_norm_sq,
+    _store_runs,
+    classical_dirichlet,
+    lebesgue_constant,
+)
 from su2fourier.divergence import (
     divergence_table,
     holder_bound,
@@ -349,13 +356,45 @@ def test_divergence_table_random_point():
 
 
 def test_divergence_table_is_bitwise_the_per_n_oracle():
-    # n out of order and repeated: every row keeps its place and its bits
+    # n out of order, repeated and in two batches of stores: every row keeps
+    # its place and its bits
     a, b = random_elements(np.random.default_rng(9), 2)
     points = [GroupElement(complex(x), complex(y)) for x, y in zip(a, b)]
     points.append(GroupElement(1.0 + 0j, 0j))
     rule = haar_grid(24)
-    n_list = [5, 2, 8, 5]
+    n_list = [5, 2, 12, 5, 12]
+    assert _store_runs(n_list) == [slice(0, 4), slice(4, 5)]
     assert divergence_table(points, n_list, rule) == divergence_rows(points, n_list, rule)
+
+
+def test_store_runs_cap_each_batch_at_twice_the_largest_store():
+    assert _store_runs([4, 8, 16]) == [slice(0, 3)]  # the default diverge table is one run
+    assert _store_runs([]) == []
+    bounds = list(range(2, 65))
+    runs = _store_runs(bounds)
+    size = [(n + 1) ** 2 + n**2 for n in bounds]
+    assert runs[0].start == 0 and runs[-1].stop == len(bounds)
+    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    assert 1 < len(runs) <= len(bounds) // 4  # far fewer passes than one per n
+    assert all(sum(size[run]) <= 2 * max(size) for run in runs)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_divergence_table_memory_stays_near_its_largest_single_n():
+    # 39 values of n at once would hold every Y store of the list, about 8
+    # times the peak of n = 40 alone
+    z = [GroupElement(np.cos(0.3) + 0j, np.sin(0.3) + 0j)]
+    rule = haar_grid(8)
+    largest = _traced_peak(lambda: divergence_table(z, [40], rule))
+    assert _traced_peak(lambda: divergence_table(z, list(range(2, 41)), rule)) <= 2 * largest
 
 
 def test_divergence_table_rejects_a_bad_n_before_the_grid():
