@@ -31,8 +31,6 @@ from .fourier import (
     CentralFn,
     band_limited_fn,
     char_fn,
-    classical_dirichlet,
-    classical_dirichlet_deriv,
     const_fn,
     dirichlet_closed,
     dirichlet_direct,

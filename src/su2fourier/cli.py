@@ -28,12 +28,12 @@ import numpy as np
 
 from . import __version__
 from .group import IDENTITY, GroupElement, haar_grid, random_elements
-from .representations import char_table
 from .fourier import (
     CentralFn,
     char_fn,
     const_fn,
     dirichlet_closed,
+    dirichlet_direct,
     lebesgue_constant,
     partial_sum_central,
 )
@@ -184,12 +184,12 @@ _KERNEL_BLOCK = 32  # degrees per dirichlet_closed call: bounds its temporaries
 
 
 def _cmd_kernel_check(args):
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     if not 0 <= args.exclude < np.pi / 2:  # NaN fails this test too
         raise ValueError(f"--exclude must lie in [0, pi/2), got {args.exclude!r}")
     th = np.linspace(args.exclude, np.pi - args.exclude, args.grid)
-    weights = np.arange(args.n_max + 1)[:, None] + 1.0
-    # no name holds the table or its weighted copy, so both are freed before the blocks
-    direct = np.cumsum(weights * char_table(args.n_max, th), axis=0)
+    direct = dirichlet_direct(np.arange(args.n_max + 1), th)
     errs = np.empty(args.n_max + 1)
     for lo in range(0, args.n_max + 1, _KERNEL_BLOCK):
         hi = min(lo + _KERNEL_BLOCK, args.n_max + 1)

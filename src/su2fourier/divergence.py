@@ -104,11 +104,14 @@ __all__ = [
     "sawtooth_normalized",
     "holder_bound",
     "ChainReport",
+    "CHAIN_MARGIN_TOL",
     "verify_chain",
     "partial_sum_at_identity",
     "DivergenceRow",
     "divergence_table",
 ]
+
+CHAIN_MARGIN_TOL = 1e-8  # how far below 0 a margin may round and still count as ok
 
 
 def _period(n: int) -> int:
@@ -234,8 +237,8 @@ class ChainReport:
     def min_margin(self) -> float:
         return min(self.margins.values())
 
-    def ok(self, tol: float = 1e-8) -> bool:
-        return self.min_margin >= -tol
+    def ok(self) -> bool:
+        return self.min_margin >= -CHAIN_MARGIN_TOL
 
 
 def verify_chain(n: int, alpha: float = 0.5) -> ChainReport:

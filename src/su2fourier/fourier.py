@@ -33,9 +33,9 @@ is evaluated as one.
 
 Kernels.  The group Dirichlet kernel D_N = sum_{n<=N} (n+1) chi_n has the
 closed form -D'_{N+1}(theta) / (2 sin theta) in terms of the classical
-kernel D_m(t) = sin((2m+1)t/2)/sin(t/2) = 1 + 2 sum_{j<=m} cos(jt); both
-evaluations are provided, with series fallbacks inside |sin| < 1e-4 pole
-neighborhoods (summed in blocks of indices, in the plain loop's order).  The
+kernel D_m(t) = sin((2m+1)t/2)/sin(t/2).  ``dirichlet_direct`` sums the
+characters, and ``dirichlet_closed`` evaluates the quotient, with the direct
+sum as its one fallback where |sin theta| or |sin(theta/2)| is below 1e-4.  The
 L^1 norm (Lebesgue constant) of D_{n+1} is Fejer's finite sum
 1/M + (2/pi) sum_{k<=n+1} tan(k pi/M)/k, M = 2n+3, exact up to rounding; no
 kernel value and no quadrature enters it (the panel quadrature between the
@@ -82,6 +82,7 @@ from .representations import (
 )
 
 __all__ = [
+    "MAX_COEFFS",
     "CentralFn",
     "char_fn",
     "const_fn",
@@ -91,8 +92,6 @@ __all__ = [
     "matrix_coeffs",
     "dirichlet_direct",
     "dirichlet_closed",
-    "classical_dirichlet",
-    "classical_dirichlet_deriv",
     "partial_sum_central",
     "partial_sum_general",
     "lebesgue_constant",
@@ -101,6 +100,9 @@ __all__ = [
 # --------------------------------------------------------------------------
 # central functions
 # --------------------------------------------------------------------------
+
+MAX_COEFFS = 2**22  # a closed form this long takes up to about 1 s and 300 MB
+
 
 @dataclass
 class CentralFn:
@@ -149,10 +151,15 @@ class CentralFn:
         other function its ``closed_form``, which is cached and read-only.
         Each closed-form coefficient does not depend on n_max, so every n_max
         reads a prefix of one vector, whatever was asked before.  A function
-        with neither raises NotImplementedError.
+        with neither raises NotImplementedError.  More than MAX_COEFFS
+        coefficients raise ValueError before anything is allocated.
         """
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
+        if n_max >= MAX_COEFFS:
+            raise ValueError(
+                f"n_max = {n_max} asks for more than MAX_COEFFS = {MAX_COEFFS} coefficients"
+            )
         if self.band_coeffs is not None:
             c = np.zeros(n_max + 1, dtype=self.band_coeffs.dtype)
             m = min(n_max + 1, len(self.band_coeffs))
@@ -365,102 +372,52 @@ def _pl_norm_sq(th, va):
 # Dirichlet kernels
 # --------------------------------------------------------------------------
 
-def _half_sine(t):
-    return np.sin(t / 2)
+def _pole_distance(th):
+    """min(|sin theta|, |sin(theta/2)|): the closed kernel divides by both."""
+    return np.minimum(np.abs(np.sin(th)), np.abs(np.sin(th / 2)))
 
 
-_SUM_BLOCK = 4096  # values of j per block: bounds a block to 4097 rows
+def dirichlet_direct(N, theta) -> np.ndarray | float:
+    """D_N(omega(theta)) = sum_{n<=N} (n+1) chi_n(theta), by stable summation.
 
-
-def _sum_in_blocks(acc: np.ndarray, n: int, terms) -> np.ndarray:
-    """acc + terms(1) + ... + terms(n), added left to right as a loop would.
-
-    ``terms(j)`` maps a column of indices j to one row of terms each.  The
-    indices run in blocks of at most _SUM_BLOCK; each block is stacked under
-    the running accumulator and accumulated in place along axis 0, which adds
-    row by row for any number of columns (a plain axis-0 sum of a single
-    column would add pairwise).
+    ``N`` is one degree, or a 1-D array of degrees that gives one row each.
+    All rows come from one ``char_table`` up to the largest degree and one
+    running sum of (n+1) chi_n over n, which adds the terms in order, so each
+    row is bitwise the call with its own degree.
     """
-    for lo in range(1, n + 1, _SUM_BLOCK):
-        j = np.arange(lo, min(lo + _SUM_BLOCK, n + 1))[:, None]
-        rows = np.concatenate((acc[None], terms(j)))
-        acc = np.add.accumulate(rows, axis=0, out=rows)[-1]
-    return acc
-
-
-def classical_dirichlet(n: int, t) -> np.ndarray | float:
-    """D_n(t) = sin((2n+1)t/2)/sin(t/2), with the cosine-sum fallback at poles.
-
-    The fallback 1 + 2 sum_{j<=n} cos(jt) runs in blocks of j, in the order
-    of the plain loop over j, so it rounds exactly as that loop does.
-    """
-
-    def cosine_sum(tt, m):
-        tp = tt[m]
-        return _sum_in_blocks(np.ones_like(tp), n, lambda j: 2 * np.cos(j * tp))
-
-    return pole_safe(
-        t, _half_sine, lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m], cosine_sum
-    )
-
-
-def _each_degree(n, one):
-    """one(n) for one degree n; for a column of degrees, one(k) for each k, as rows."""
-    if np.ndim(n) == 0:
-        return one(n)
-    return np.array([one(int(k)) for k in n[:, 0]])
-
-
-def classical_dirichlet_deriv(n, t) -> np.ndarray | float:
-    """D'_n(t), analytic closed form with the -2 sum j sin(jt) fallback.
-
-    ``n`` is one index or a column of indices, which broadcasts against the
-    angles to one row per index.  The quotient broadcasts: its t-only
-    factors sin(t/2), cos(t/2)/2 and sin^2(t/2) are formed once per call,
-    whatever the number of rows, and each row rounds exactly as a call with
-    its own n.  The fallback runs per index, in blocks of j like that of
-    ``classical_dirichlet``; adding -(2j sin(jt)) rounds exactly as
-    subtracting 2j sin(jt) in a loop.
-    """
-    a = n + 0.5
-
-    def quotient(tt, s, m):
-        ts, sm = tt[m], s[m]
-        at = a * ts
-        return (a * np.cos(at) * sm - 0.5 * np.cos(ts / 2) * np.sin(at)) / sm**2
-
-    def sine_sum(tt, m):
-        tp = tt[m]
-        return _each_degree(
-            n, lambda k: _sum_in_blocks(np.zeros_like(tp), k, lambda j: -2 * j * np.sin(j * tp))
-        )
-
-    return pole_safe(t, _half_sine, quotient, sine_sum)
-
-
-def dirichlet_direct(N: int, theta) -> np.ndarray | float:
-    """D_N(omega(theta)) = sum_{n<=N} (n+1) chi_n(theta), by stable summation."""
+    if np.size(N) == 0 or np.min(N) < 0:
+        raise ValueError(f"degrees must be >= 0, got {N!r}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    table = char_table(N, th)
-    out = (np.arange(N + 1) + 1.0) @ table
-    return float(out[0]) if np.ndim(theta) == 0 else out
+    table = char_table(int(np.max(N)), th)
+    table *= np.arange(len(table))[:, None] + 1.0
+    out = np.cumsum(table, axis=0, out=table)[N]
+    if np.ndim(theta):
+        return out
+    return out[..., 0] if np.ndim(N) else float(out[0])
 
 
 def dirichlet_closed(N, theta) -> np.ndarray | float:
     """D_N(omega(theta)) = -D'_{N+1}(theta) / (2 sin theta).
 
-    ``N`` is one degree, or a 1-D array of degrees that gives one row each;
-    every row is bitwise the call with its own degree, and the angle-only
-    factors are formed once per call.  Inside |sin theta| < 1e-4 the quotient
-    is replaced by the direct sum, which the character recurrence evaluates
-    stably, one degree at a time.
+    With a = N + 3/2 and h = sin(theta/2), the classical kernel
+    D_{N+1}(t) = sin(a t)/sin(t/2) has the derivative
+    (a cos(a theta) h - cos(theta/2) sin(a theta)/2) / h^2.  ``N`` is one
+    degree, or a 1-D array of degrees that gives one row each; every row is
+    bitwise the call with its own degree, and the angle-only factors are
+    formed once per call.  Where |sin theta| < 1e-4 or |sin(theta/2)| < 1e-4
+    the quotient is replaced by ``dirichlet_direct``.  Either way the value is
+    within 1e-8 D_N(0) = 1e-8 (N+1)(N+2)(2N+3)/6 of the exact kernel.
     """
-    n = N if np.ndim(N) == 0 else np.asarray(N)[:, None]
+    a = (N if np.ndim(N) == 0 else np.asarray(N)[:, None]) + 1.5
+
+    def quotient(th, s, m):
+        t = th[m]
+        h, at = np.sin(t / 2), a * t
+        deriv = (a * np.cos(at) * h - 0.5 * np.cos(t / 2) * np.sin(at)) / h**2
+        return -deriv / (2 * np.sin(t))
+
     return pole_safe(
-        theta,
-        np.sin,
-        lambda th, s, m: -classical_dirichlet_deriv(n + 1, th[m]) / (2 * s[m]),
-        lambda th, m: _each_degree(n, lambda k: dirichlet_direct(k, th[m])),
+        theta, _pole_distance, quotient, lambda th, m: dirichlet_direct(N, th[m])
     )
 
 

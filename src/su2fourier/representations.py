@@ -23,8 +23,8 @@ phase branch cuts, and no degree cap.  The character is
 evaluated through the Chebyshev-U recurrence wherever sin(theta) is small
 (|sin theta| < 1e-4), which removes the 0/0 cancellation at theta in {0, pi}
 where the limits are n+1 and (-1)^n (n+1).  The pole mask is ``pole_safe``,
-which the Dirichlet kernels of ``fourier`` share with their own quotients
-and fallbacks.
+which the closed Dirichlet kernel of ``fourier`` shares, with the direct
+character sum as its fallback.
 
 On the Euler tensor grid of ``group.haar_grid`` the matrices factorize as
 

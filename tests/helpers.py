@@ -1,7 +1,8 @@
 """Group samples, the Haar rule's flat weights, the Euler phase frequencies,
 the translate difference, quadrature coefficients, the gathered matrix
-coefficient transform, the per-n divergence rows, the Gauss-cell split of the
-witness chain and the benchmark modules, shared by the test suites."""
+coefficient transform, the per-n divergence rows, the classical Dirichlet
+kernel, the Gauss-cell split of the witness chain and the benchmark modules,
+shared by the test suites."""
 
 import importlib.util
 import sys
@@ -19,12 +20,11 @@ from su2fourier.divergence import (
 from su2fourier.fourier import (
     CentralFn,
     _euler_slabs,
-    classical_dirichlet,
     left_translate,
     partial_sum_general,
 )
 from su2fourier.group import GroupElement, gauss_panels, random_elements
-from su2fourier.representations import char_table, repr_matrices
+from su2fourier.representations import char_table, pole_safe, repr_matrices
 
 
 def random_element(rng):
@@ -116,6 +116,28 @@ def quadrature_coeffs(f, n_max, rule):
     g = f(rule.nodes) * rule.weights
     return sum(char_table(n_max, rule.nodes[lo : lo + 1024]) @ g[lo : lo + 1024]
                for lo in range(0, len(g), 1024))
+
+
+def classical_dirichlet(n, t):
+    """D_n(t) = sin((2n+1)t/2)/sin(t/2), the classical Dirichlet kernel.
+
+    The oracle of the divergence tests: inside |sin(t/2)| < 1e-4 it is the
+    cosine sum 1 + 2 sum_{j<=n} cos(jt), added by a plain loop over j.
+    """
+
+    def cosine_sum(tt, m):
+        tp = tt[m]
+        acc = np.ones_like(tp)
+        for j in range(1, n + 1):
+            acc += 2 * np.cos(j * tp)
+        return acc
+
+    return pole_safe(
+        t,
+        lambda tt: np.sin(tt / 2),
+        lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m],
+        cosine_sum,
+    )
 
 
 def gauss_chain_split(n, nodes_per_cell=8):

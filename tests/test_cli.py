@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import ModuleType
 
 import numpy as np
@@ -269,13 +270,28 @@ def test_kernel_check_accepts_the_whole_exclude_range(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["jackson", "--k", "40"], ["rm-sum", "--j", "1000000000000"],
+     ["partial-sum", "--n", "1000000000000"]],
+    ids=["jackson", "rm-sum", "partial-sum"],
+)
+def test_coefficient_count_past_the_cap_is_a_usage_error(argv, capsys):
+    # CentralFn.coeffs refuses before it allocates, so the refusal is quick
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("su2fourier: ") and "MAX_COEFFS" in err
+
+
+@pytest.mark.parametrize(
     "exclude", [1e-3, 0.0, 1.2e-4], ids=["default", "poles", "half-angle-band"]
 )
 def test_kernel_check_rows_are_bitwise_the_per_degree_kernel(tmp_path, exclude):
     # the handler evaluates blocks of degrees; each row must be what one
-    # dirichlet_closed(N, th) call gives, in both pole bands: exclude 0 puts
-    # theta = 0 and pi in |sin theta| < 1e-4, exclude 1.2e-4 puts grid
-    # points where sin(theta/2) < 1e-4 <= |sin theta| (the sine-sum fallback)
+    # dirichlet_closed(N, th) call gives, in both pole bands of its direct
+    # sum: exclude 0 puts theta = 0 and pi in |sin theta| < 1e-4, exclude
+    # 1.2e-4 puts grid points where sin(theta/2) < 1e-4 <= |sin theta|
     th = np.linspace(exclude, np.pi - exclude, 2000)
     inner = (np.abs(np.sin(th / 2)) < 1e-4) & (np.abs(np.sin(th)) >= 1e-4)
     assert inner.any() == (exclude == 1.2e-4)

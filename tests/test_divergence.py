@@ -11,7 +11,6 @@ from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.fourier import (
     _pl_norm_sq,
     _store_runs,
-    classical_dirichlet,
     lebesgue_constant,
 )
 from su2fourier.divergence import (
@@ -24,7 +23,7 @@ from su2fourier.divergence import (
     verify_chain,
 )
 
-from helpers import divergence_rows, gauss_chain_split
+from helpers import classical_dirichlet, divergence_rows, gauss_chain_split
 from holder_quotients import holder_quotient_estimate
 
 
@@ -301,7 +300,7 @@ def test_chain_dirichlet_floor_large_n():
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 32])
 def test_chain_all_margins(n):
     rep = verify_chain(n)
-    assert rep.ok(1e-8), rep.margins
+    assert rep.ok(), rep.margins
     assert rep.identity_error < 1e-10
     assert rep.lip_norm_bound <= 1 + np.pi + 1e-12
 
@@ -313,7 +312,7 @@ def test_chain_false_margin_reports_not_raises(monkeypatch):
     rep = verify_chain(8)
     assert rep.margins["bounded_vs_lebesgue"] == -abs(rep.bounded_term) < 0
     assert rep.min_margin == rep.margins["bounded_vs_lebesgue"]
-    assert not rep.ok(1e-8)
+    assert not rep.ok()
 
 
 def test_chain_holder_exponent_must_lie_in_unit_interval():

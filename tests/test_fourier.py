@@ -21,7 +21,6 @@ from su2fourier.group import (
 from su2fourier.representations import (
     char_eval,
     char_table,
-    pole_safe,
     repr_matrices,
     repr_matrix,
     truncation_set,
@@ -31,8 +30,6 @@ from su2fourier.fourier import (
     _pl_cos_moments,
     band_limited_fn,
     char_fn,
-    classical_dirichlet,
-    classical_dirichlet_deriv,
     const_fn,
     dirichlet_closed,
     dirichlet_direct,
@@ -48,6 +45,7 @@ from su2fourier.cli import _SPEC_KINDS, parse_central_fn
 from su2fourier.divergence import sawtooth, sawtooth_breakpoints, sawtooth_normalized
 
 from helpers import (
+    classical_dirichlet,
     elements,
     gather_matrix_coeffs,
     haar_weights,
@@ -121,6 +119,24 @@ def test_central_fn_without_exact_data_raises():
     for method in (lambda: f.coeffs(4), f.l2_norm_sq):
         with pytest.raises(NotImplementedError, match="from_breakpoints"):
             method()
+
+
+@pytest.mark.parametrize("make", [lambda: sawtooth(5), lambda: char_fn(2)], ids=["closed", "band"])
+def test_coeffs_past_the_cap_raise_before_allocating(make, monkeypatch):
+    assert fourier.MAX_COEFFS >= 2**20
+    f = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_COEFFS = 4194304"):
+            f.coeffs(10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(fourier, "MAX_COEFFS", 8)
+    assert len(f.coeffs(7)) == 8
+    with pytest.raises(ValueError, match="n_max = 8 asks for more than MAX_COEFFS = 8"):
+        f.coeffs(8)
 
 
 @pytest.mark.parametrize(
@@ -535,8 +551,8 @@ def test_dirichlet_closed_at_pole_pi():
 
 
 def test_dirichlet_closed_rows_are_bitwise_the_per_degree_calls():
-    # both pole bands: |sin theta| < 1e-4 at 0, 5e-5 and pi (direct sum), and
-    # sin(theta/2) < 1e-4 <= |sin theta| at 1.5e-4 (sine-sum fallback)
+    # the direct sum takes both pole bands: |sin theta| < 1e-4 at 0, 5e-5 and
+    # pi, and sin(theta/2) < 1e-4 <= |sin theta| at 1.5e-4
     th = np.concatenate(([0.0, 5e-5, 1.5e-4, np.pi], np.linspace(1e-3, 3.1, 97)))
     degrees = np.array([0, 1, 7, 31, 200])
     rows = dirichlet_closed(degrees, th)
@@ -546,11 +562,70 @@ def test_dirichlet_closed_rows_are_bitwise_the_per_degree_calls():
     assert list(dirichlet_closed(degrees, 0.7)) == [dirichlet_closed(int(N), 0.7) for N in degrees]
 
 
+def test_dirichlet_direct_rows_are_bitwise_the_per_degree_calls():
+    th = np.concatenate(([0.0, 5e-5, 1.5e-4, np.pi], np.linspace(1e-3, 3.1, 97)))
+    degrees = np.array([200, 0, 7, 1, 31, 7])
+    rows = dirichlet_direct(degrees, th)
+    assert rows.shape == (6, 101)
+    for N, row in zip(degrees, rows):
+        assert np.array_equal(row, dirichlet_direct(int(N), th))
+    assert list(dirichlet_direct(degrees, 0.7)) == [dirichlet_direct(int(N), 0.7) for N in degrees]
+    for bad in (np.array([3, -1]), np.array([], dtype=int), -2):
+        with pytest.raises(ValueError, match="degrees must be >= 0"):
+            dirichlet_direct(bad, th)
+
+
 @pytest.mark.parametrize("N", [5, 50])
 def test_dirichlet_identity_grid_bound(N):
     th = np.linspace(1e-3, np.pi - 1e-3, 500)
     err = np.abs(dirichlet_direct(N, th) - dirichlet_closed(N, th)).max()
     assert err < 1e-8 * (N + 1) ** 3
+
+
+# |sin theta| < 1e-4 near 0 and pi; sin(theta/2) < 1e-4 <= |sin theta| just
+# above 1e-4; the band edges; and the interior
+_KERNEL_ANGLES = np.concatenate((
+    [0.0, 1e-6, 5e-5, 9.9e-5, 1.01e-4, 1.2e-4, 1.5e-4, 1.99e-4, 2.01e-4, 3e-4, 1e-3],
+    np.pi - np.array([1e-3, 2e-4, 1.01e-4, 9.9e-5, 5e-5, 1e-6, 0.0]),
+    np.linspace(2e-3, np.pi - 2e-3, 41),
+))
+
+
+def _dirichlet_mpmath(N, theta):
+    if theta in (0.0, np.pi):  # the limits sum (n+1)^2 (+-1)^n
+        sign = 1 if theta == 0.0 else -1
+        return mpmath.fsum((n + 1) ** 2 * sign**n for n in range(N + 1))
+    t = mpmath.mpf(theta)
+    a, h = N + mpmath.mpf(3) / 2, mpmath.sin(t / 2)
+    deriv = (a * mpmath.cos(a * t) * h - mpmath.cos(t / 2) * mpmath.sin(a * t) / 2) / h**2
+    return -deriv / (2 * mpmath.sin(t))
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 31, 200, 1000])
+def test_dirichlet_closed_within_its_bound_of_mpmath(N):
+    # the docstring's bound: within 1e-8 D_N(0) of the exact kernel
+    with mpmath.workdps(40):
+        want = np.array([float(_dirichlet_mpmath(N, t)) for t in _KERNEL_ANGLES])
+    at_origin = (N + 1) * (N + 2) * (2 * N + 3) / 6
+    assert np.abs(dirichlet_closed(N, _KERNEL_ANGLES) - want).max() <= 1e-8 * at_origin
+
+
+def _closed_quotient(N, t):
+    # the closed kernel's quotient, its operations in the order the kernel
+    # had while it divided the classical kernel's derivative by 2 sin theta
+    a = N + 1 + 0.5
+    at = a * t
+    deriv = (a * np.cos(at) * np.sin(t / 2) - 0.5 * np.cos(t / 2) * np.sin(at)) / np.sin(t / 2) ** 2
+    return -deriv / (2 * np.sin(t))
+
+
+def test_dirichlet_closed_is_bitwise_the_quotient_on_the_kernel_check_grid():
+    th = np.linspace(1e-3, np.pi - 1e-3, 2000)  # kernel-check's default grid
+    for lo in range(0, 201, 32):
+        degrees = np.arange(lo, min(lo + 32, 201))
+        assert np.array_equal(dirichlet_closed(degrees, th), _closed_quotient(degrees[:, None], th))
+    for N in range(201):
+        assert np.array_equal(dirichlet_closed(N, th), _closed_quotient(N, th))
 
 
 def test_classical_dirichlet_values():
@@ -570,84 +645,11 @@ def test_classical_dirichlet_cosine_sum():
 
 
 def test_classical_deriv_finite_difference():
+    # D_{n-1}(omega(t)) = -D'_n(t) / (2 sin t), D'_n by central differences
     h = 1e-6
     for n, t in ((3, 0.8), (12, 2.1)):
         fd = (classical_dirichlet(n, t + h) - classical_dirichlet(n, t - h)) / (2 * h)
-        d = classical_dirichlet_deriv(n, t)
-        assert d == pytest.approx(fd, rel=1e-6)
-
-
-def test_classical_deriv_pole_fallback():
-    # near t = 0 the derivative must vanish linearly: -2 sum j sin(jt)
-    t = 5e-5
-    n = 7
-    want = -2 * sum(j * np.sin(j * t) for j in range(1, n + 1))
-    assert classical_dirichlet_deriv(n, t) == pytest.approx(want, rel=1e-10)
-
-
-def _half_sine(t):
-    return np.sin(t / 2)
-
-
-def _classical_dirichlet_loop(n, t):
-    # reference: the pole fallback as a plain loop over j
-    def cosine_sum(tt, m):
-        tp = tt[m]
-        acc = np.ones_like(tp)
-        for j in range(1, n + 1):
-            acc += 2 * np.cos(j * tp)
-        return acc
-
-    return pole_safe(
-        t, _half_sine, lambda tt, s, m: np.sin((2 * n + 1) * tt[m] / 2) / s[m], cosine_sum
-    )
-
-
-def _classical_dirichlet_deriv_loop(n, t):
-    a = n + 0.5
-
-    def quotient(tt, s, m):
-        ts = tt[m]
-        return (
-            a * np.cos(a * ts) * np.sin(ts / 2) - 0.5 * np.cos(ts / 2) * np.sin(a * ts)
-        ) / np.sin(ts / 2) ** 2
-
-    def sine_sum(tt, m):
-        tp = tt[m]
-        acc = np.zeros_like(tp)
-        for j in range(1, n + 1):
-            acc -= 2 * j * np.sin(j * tp)
-        return acc
-
-    return pole_safe(t, _half_sine, quotient, sine_sum)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 4097, 100001])
-def test_classical_dirichlet_blocked_fallback_is_bitwise_the_loop(n):
-    # 10 points inside the pole band |sin(t/2)| < 1e-4, around 0 and 2 pi,
-    # and 2 outside; the scalar case reduces a single column
-    rng = np.random.default_rng(n)
-    band = rng.uniform(-1.9e-4, 1.9e-4, 10) + np.repeat([0.0, 2 * np.pi], 5)
-    band[[0, 5]] = 0.0, 2 * np.pi
-    t = np.concatenate((band, [0.5, 3.0]))
-    assert (np.abs(np.sin(band / 2)) < 1e-4).all()
-    for fn, loop in (
-        (classical_dirichlet, _classical_dirichlet_loop),
-        (classical_dirichlet_deriv, _classical_dirichlet_deriv_loop),
-    ):
-        assert np.array_equal(fn(n, t), loop(n, t))
-        assert fn(n, band[1]) == loop(n, band[1])
-
-
-def test_classical_dirichlet_deriv_quotient_is_bitwise_the_old_expression():
-    # the package's quotient reads sin(t/2) from pole_safe's s; the loop
-    # reference above recomputes it inside the expression, twice
-    grid = np.linspace(1e-3, np.pi - 1e-3, 2000)  # the kernel-check grid
-    t = np.concatenate((grid, np.random.default_rng(0).uniform(0.0, 2 * np.pi, 5000)))
-    for n in range(202):
-        assert np.array_equal(
-            classical_dirichlet_deriv(n, t), _classical_dirichlet_deriv_loop(n, t)
-        )
+        assert -2 * np.sin(t) * dirichlet_closed(n - 1, t) == pytest.approx(fd, rel=1e-6)
 
 
 # ---------------------------------------------------------------- partial sums
@@ -827,8 +829,8 @@ def test_lebesgue_never_evaluates_the_pole_fallback(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("pole fallback evaluated")
 
-    monkeypatch.setattr(fourier, "classical_dirichlet", boom)
-    monkeypatch.setattr(fourier, "_sum_in_blocks", boom)
+    for name in ("pole_safe", "char_table", "dirichlet_direct", "dirichlet_closed"):
+        monkeypatch.setattr(fourier, name, boom)
     assert lebesgue_constant(10**5) == pytest.approx(_lebesgue_fejer(10**5), rel=1e-14)
 
 
