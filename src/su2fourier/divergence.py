@@ -2,10 +2,14 @@
 
 The witness of index n is the central function f_n with profile g_n on
 [0, pi]: g_n(2 k pi / (2n+3)) = (-1)^k for k = 0..n+1, g_n(pi) = 0, linear
-in between.  Its breakpoints interlace the extrema of
-h_n(theta) = cos((n + 3/2) theta), so f_n correlates with the oscillatory
-part of the Dirichlet kernel.  The value of the n-th partial sum at the
-identity splits into two plain d(theta) integrals,
+in between.  That is one triangle wave on all of [0, pi], of period 4 in
+v = (theta/pi)(2n+3), and the witness evaluates it so, in a few NumPy passes
+with no breakpoint search (``_witness``); ``sawtooth_breakpoints`` gives the
+breakpoints as arrays for interpolation by others.  The breakpoints
+interlace the extrema of h_n(theta) = cos((n + 3/2) theta), so f_n
+correlates with the oscillatory part of the Dirichlet kernel.  The value
+of the n-th partial sum at the identity splits into two plain d(theta)
+integrals,
 
     S_n f_n(e) = (1/pi) int f_n cos^2(theta/2) D_{n+1}(theta) d(theta)
                - ((2n+3)/pi) int f_n cos((n+3/2) theta) cos(theta/2) d(theta),
@@ -152,20 +156,35 @@ def _witness_moments(n: int, kmax: int) -> np.ndarray:
 
 
 def _witness(n: int, scale: float, name: str) -> CentralFn:
-    """scale * f_n with its closed-form coefficients and norm."""
-    th, va = sawtooth_breakpoints(n)
-    va = scale * va
-    th.flags.writeable = va.flags.writeable = False
+    """scale * f_n with its closed-form profile, coefficients and norm.
+
+    The profile is the triangle wave of period 4 in v = (theta/pi) M, scaled
+    by ``scale``: g_n = 1 - |v - 4 rint(v/4)| = 1 - 4 |w - rint(w)| with
+    w = v/4, the same bits since scaling by 4 is exact.  theta/pi is formed
+    before the product with M, so theta = pi gives w = M/4 exactly and
+    g_n(pi) = 0 exactly, as g_n(0) = 1.  w - rint(w) is exact (Sterbenz's
+    lemma where rint(w) >= 1), so |g_n| <= 1 holds exactly, and the value is
+    within about M eps of g_n at the rounded angle, the conditioning of a
+    slope of M/pi.  ``fn`` fills new arrays only: it never writes to its
+    argument and never copies it, so a read-only class angle costs nothing.
+    """
+    quarter = _period(n) / 4
+
+    def fn(t):
+        w = np.divide(t, np.pi, out=np.empty(np.shape(t)))
+        w *= quarter
+        w -= np.rint(w)
+        np.abs(w, out=w)
+        w *= -4.0
+        w += 1.0
+        if scale != 1.0:
+            w *= scale
+        return w[()]  # a scalar for a 0-d argument, as np.interp gives
 
     def coeffs(n_max):
         return scale * _coeffs_from_cos_moments(_witness_moments(n, n_max + 2), n_max)
 
-    return CentralFn(
-        fn=lambda t: np.interp(t, th, va),
-        name=name,
-        norm_sq=scale**2 / 3,
-        closed_form=coeffs,
-    )
+    return CentralFn(fn=fn, name=name, norm_sq=scale**2 / 3, closed_form=coeffs)
 
 
 def sawtooth(n: int) -> CentralFn:

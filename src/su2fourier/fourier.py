@@ -117,6 +117,8 @@ class CentralFn:
     quadrature rules put panel edges.  ``fn`` must not write to its
     argument: on the Euler rule it reads a class angle that other functions
     of a batch may share, read-only while they do (see ``_euler_slabs``).
+    A profile that copies a read-only argument, as the ``np.interp`` of
+    ``from_breakpoints`` does, pays that copy there unless it reads last.
     It must be safe to call from several threads at once, unless the
     function is band-limited: the beta slabs may evaluate it concurrently
     (see ``_each_run``).
@@ -320,8 +322,9 @@ def _coeffs_from_cos_moments(I, n_max):
 
     sin((m+1)t) sin t = (cos(m t) - cos((m+2) t)) / 2 gives c_m = (I_m - I_{m+2}) / pi.
     """
-    m = np.arange(n_max + 1)
-    return (I[m] - I[m + 2]) / np.pi
+    c = I[: n_max + 1] - I[2 : n_max + 3]
+    c /= np.pi
+    return c
 
 
 def _pl_coeffs(th, va, n_max):
@@ -377,6 +380,12 @@ def _pole_distance(th):
     return np.minimum(np.abs(np.sin(th)), np.abs(np.sin(th / 2)))
 
 
+def _check_degrees(N) -> None:
+    """ValueError unless N is one degree >= 0 or a non-empty array of them."""
+    if np.size(N) == 0 or np.min(N) < 0:
+        raise ValueError(f"degrees must be >= 0, got {N!r}")
+
+
 def dirichlet_direct(N, theta) -> np.ndarray | float:
     """D_N(omega(theta)) = sum_{n<=N} (n+1) chi_n(theta), by stable summation.
 
@@ -385,8 +394,7 @@ def dirichlet_direct(N, theta) -> np.ndarray | float:
     running sum of (n+1) chi_n over n, which adds the terms in order, so each
     row is bitwise the call with its own degree.
     """
-    if np.size(N) == 0 or np.min(N) < 0:
-        raise ValueError(f"degrees must be >= 0, got {N!r}")
+    _check_degrees(N)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     table = char_table(int(np.max(N)), th)
     table *= np.arange(len(table))[:, None] + 1.0
@@ -406,8 +414,10 @@ def dirichlet_closed(N, theta) -> np.ndarray | float:
     bitwise the call with its own degree, and the angle-only factors are
     formed once per call.  Where |sin theta| < 1e-4 or |sin(theta/2)| < 1e-4
     the quotient is replaced by ``dirichlet_direct``.  Either way the value is
-    within 1e-8 D_N(0) = 1e-8 (N+1)(N+2)(2N+3)/6 of the exact kernel.
+    within 1e-8 D_N(0) = 1e-8 (N+1)(N+2)(2N+3)/6 of the exact kernel.  A
+    negative degree raises ValueError, as in ``dirichlet_direct``.
     """
+    _check_degrees(N)
     a = (N if np.ndim(N) == 0 else np.asarray(N)[:, None]) + 1.5
 
     def quotient(th, s, m):
@@ -556,9 +566,11 @@ def _euler_slabs(fs, planes):
     it.  While a later function of fs still has to read that angle, a
     profile gets a read-only view of it, so writing to its argument raises
     ValueError; the last reader gets the array itself, because np.interp
-    copies a read-only argument.  Any other callable gets the slab's own
-    (a, b) arrays from the Euler phases, scaled by cos(beta/2) and
-    sin(beta/2).
+    copies a read-only argument.  That rule serves only the np.interp
+    profiles of ``from_breakpoints``: the sawtooth witnesses evaluate their
+    closed form into new arrays and copy nothing.  Any other callable gets
+    the slab's own (a, b) arrays from the Euler phases, scaled by
+    cos(beta/2) and sin(beta/2).
 
     ``split`` is the flag of ``_each_run``: true only if every function is
     on the two-plane path and none is band-limited.

@@ -68,6 +68,55 @@ def test_sawtooth_eval_is_breakpoint_interpolation():
     assert np.abs(g(probe) - np.interp(probe, th, va)).max() < 1e-14
 
 
+def _mp_profile(n, theta):
+    # g_n at the float angle theta in 40 digits, by linear interpolation on
+    # its cell: with u = M theta / (2 pi) and j = floor(u), g_n falls from
+    # (-1)^j at 2 pi j/M with slope -2 (-1)^j in u, and reaches 0 at u = n + 3/2
+    with mp.workdps(40):
+        u = (2 * n + 3) * mp.mpf(theta) / (2 * mp.pi)
+        j = int(mp.floor(u))
+        return (-1) ** j * (1 - 2 * (u - j))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64, 1024])
+def test_sawtooth_closed_form_matches_mpmath(n):
+    # the triangle wave is within 2 M eps of g_n at the rounded angle, the
+    # conditioning of its slope M/pi; at random angles and every breakpoint
+    M = 2 * n + 3
+    th, _ = sawtooth_breakpoints(n)
+    probe = np.concatenate((np.random.default_rng(n).uniform(0.0, np.pi, 500), th))
+    got = sawtooth(n)(probe)
+    err = [abs(float(got[i] - _mp_profile(n, t))) for i, t in enumerate(probe)]
+    assert max(err) <= 2 * M * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64, 1024])
+def test_sawtooth_closed_form_ends_and_range_are_exact(n):
+    g = sawtooth(n)
+    assert g(0.0) == 1.0 and g(np.pi) == 0.0
+    th = np.linspace(0.0, np.pi, 200_001)
+    assert np.abs(g(th)).max() <= 1.0
+
+
+def test_sawtooth_reads_a_read_only_argument_without_writing():
+    g = sawtooth(5)
+    th = np.linspace(0.0, np.pi, 101)
+    want = g(th.copy())
+    th.flags.writeable = False
+    got = g.fn(th)
+    assert np.array_equal(got, want) and got is not th
+    assert np.array_equal(th, np.linspace(0.0, np.pi, 101))
+    value = g(0.3)  # a scalar call reads a 0-d array
+    assert np.ndim(value) == 0 and value == g(np.array([0.3]))[0]
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64, 1024])
+def test_sawtooth_normalized_is_the_scaled_profile(n):
+    th = np.concatenate((np.linspace(0.0, np.pi, 1001), sawtooth_breakpoints(n)[0]))
+    scale = np.pi / (2 * n + 3)
+    assert np.array_equal(sawtooth_normalized(n)(th), scale * sawtooth(n)(th))
+
+
 # ---------------------------------------------------------------- Hoelder machinery
 
 def test_holder_bound_below_pi():

@@ -1,8 +1,13 @@
 """Every name a module exports exists, and the package re-exports only such
-names, so a deletion cannot leave a stale export behind."""
+names, so a deletion cannot leave a stale export behind.  Importing the
+package loads no module beyond a fixed list, so the import path cannot grow
+unnoticed."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -29,3 +34,27 @@ def test_package_reexports_only_exported_names():
         if not n.startswith("_") and not isinstance(v, ModuleType)
     }
     assert public and public <= exported
+
+
+# what ``import su2fourier`` may load once NumPy is loaded: the package's own
+# modules and these; the benchmark's setup_s is mostly this import
+_IMPORT_PATH = {"__future__", "copy", "dataclasses"}
+_IMPORT_PROBE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import numpy\n"
+    "before = set(sys.modules)\n"
+    "import su2fourier\n"
+    "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_import_path_loads_only_the_known_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(src)],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    assert "su2fourier.divergence" in out
+    known = ("su2fourier", "numpy.polynomial")
+    assert [m for m in out if m not in _IMPORT_PATH and not m.startswith(known)] == []

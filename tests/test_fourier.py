@@ -121,6 +121,23 @@ def test_central_fn_without_exact_data_raises():
             method()
 
 
+@pytest.mark.parametrize("n_max", [1000, fourier.MAX_COEFFS - 1])
+def test_coeffs_from_cos_moments_slices_without_temporaries(n_max):
+    # bitwise the indexed form (I[m] - I[m + 2]) / pi, with one allocation of
+    # the result's size at most: the slices are views
+    I = np.random.default_rng(n_max).standard_normal(n_max + 3)
+    m = np.arange(n_max + 1)
+    want = (I[m] - I[m + 2]) / np.pi
+    tracemalloc.start()
+    try:
+        c = fourier._coeffs_from_cos_moments(I, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(c, want)
+    assert peak <= 1.25 * c.nbytes
+
+
 @pytest.mark.parametrize("make", [lambda: sawtooth(5), lambda: char_fn(2)], ids=["closed", "band"])
 def test_coeffs_past_the_cap_raise_before_allocating(make, monkeypatch):
     assert fourier.MAX_COEFFS >= 2**20
@@ -573,6 +590,16 @@ def test_dirichlet_direct_rows_are_bitwise_the_per_degree_calls():
     for bad in (np.array([3, -1]), np.array([], dtype=int), -2):
         with pytest.raises(ValueError, match="degrees must be >= 0"):
             dirichlet_direct(bad, th)
+
+
+@pytest.mark.parametrize("kernel", [dirichlet_closed, dirichlet_direct])
+def test_dirichlet_kernels_reject_negative_degrees(kernel):
+    # 0.5 and 1.0 lie in the closed kernel's quotient region, 0.0 and pi in
+    # its direct fallback; both kernels share one degree check
+    for th in (0.5, [0.5, 1.0], 0.0, [0.0, np.pi], [0.5, 0.0]):
+        for bad in (-1, -3, np.array([2, -1]), np.array([-3]), np.array([], dtype=int)):
+            with pytest.raises(ValueError, match="degrees must be >= 0"):
+                kernel(bad, th)
 
 
 @pytest.mark.parametrize("N", [5, 50])
