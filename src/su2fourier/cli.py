@@ -10,7 +10,8 @@ beta-slab threads of the 3D paths nor the BLAS library's thread count
 changes it: every central function has exact coefficients and norm.
 
 Exit codes: 0 success, 1 when a margin-style check fails (the offending rows
-are listed on stderr), 2 on usage errors.  The environment variable
+are listed on stderr), 2 on usage errors, a size too large to allocate
+included.  The environment variable
 SU2FOURIER_OUTDIR supplies a default directory for relative output paths.
 """
 
@@ -411,6 +412,9 @@ def run(argv) -> int:
         rows, failures = args.handler(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"su2fourier: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size too large to allocate is a usage error too
+        print(f"su2fourier: out of memory: {exc}", file=sys.stderr)
         return 2
     echoed = ("command", "fmt", "output", "seed", "handler")
     meta = {

@@ -22,9 +22,10 @@ For central f the translate difference has the exact coefficient form
 
 independent of the direction of X (class functions only see the conjugacy
 angle of the translation), which anchors the general 3D quadrature path.
-That path draws each radius's directions in one batch and streams the beta
-slabs of the Haar rule through ``fourier._translate_norms``: f once per
-``integral_modulus`` or ``modulus_profile`` call, and one translate
+That path draws each radius's directions in one batch, every radius from
+one generator, and streams the beta slabs of the Haar rule through
+``fourier._translate_norms``: f once per ``integral_modulus`` or
+``modulus_profile`` call, and one translate
 f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
 Translates compose, so for f = L_z g with g central that is one class-angle
 pass of (z h^{-1}) y per direction, read from two real planes, with no group
@@ -43,7 +44,7 @@ callers, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import factorial, gamma, pi, sin, sqrt
 
 import numpy as np
@@ -130,20 +131,21 @@ def central_translate_norm(coeffs: np.ndarray, r) -> np.ndarray | float:
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _largest_translate_norms(f, radii, rng_for_radius, sample_count: int, rule) -> np.ndarray:
+def _largest_translate_norms(f, radii, seed: int, sample_count: int, rule) -> np.ndarray:
     """max ||delta_h f|| over the sampled h = exp(r X), ||X|| = 1, at each radius r.
 
     Central f takes the exact coefficient form on its first
-    DEFAULT_COEFF_LIMIT + 1 coefficients.  General f draws ``sample_count``
-    directions X at each radius from the generator ``rng_for_radius()``
-    returns, and measures every translate in one ``_translate_norms`` call
-    over the Haar ``rule``.
+    DEFAULT_COEFF_LIMIT + 1 coefficients, and draws nothing.  General f draws
+    ``sample_count`` directions X at each radius, in the order of ``radii``,
+    from one generator seeded with ``seed``, and measures every translate in
+    one ``_translate_norms`` call over the Haar ``rule``.
     """
     if isinstance(f, CentralFn):
         return central_translate_norm(f.coeffs(DEFAULT_COEFF_LIMIT), radii)
+    rng = np.random.default_rng(seed)
     hs = []
     for r in radii:
-        cs, betas = random_directions(rng_for_radius(), sample_count)
+        cs, betas = random_directions(rng, sample_count)
         ah, bh = exp_arrays(r * cs, r * betas)
         hs += [GroupElement(complex(x), complex(y)) for x, y in zip(ah, bh)]
     norms = np.reshape(_translate_norms(f, hs, rule), (len(radii), sample_count))
@@ -162,13 +164,12 @@ def integral_modulus(
     The radii are the strata {t, t/2, t/4}.  Central f goes through the exact
     coefficient form, where the direction of X is provably irrelevant, and
     ignores ``sample_count``, ``seed`` and ``rule``.  General f needs the
-    Haar ``rule`` and samples ``sample_count`` directions per radius from one
-    generator seeded with ``seed``.
+    Haar ``rule`` and samples ``sample_count`` directions per radius, the
+    radii t, t/2, t/4 in turn from one generator seeded with ``seed``.
     """
     if not 0 < t <= np.pi:
         raise ValueError("t must lie in (0, pi]")
-    shared = cache(lambda: np.random.default_rng(seed))
-    return float(np.max(_largest_translate_norms(f, t * _STRATA, shared, sample_count, rule)))
+    return float(np.max(_largest_translate_norms(f, t * _STRATA, seed, sample_count, rule)))
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ def modulus_profile(
     Each Omega(t) is the running supremum over all grid radii <= t, so the
     profile is monotone by construction (nested sampling).  Central f
     ignores ``sample_count``, ``seed`` and ``rule``.  General f needs the
-    Haar ``rule`` and samples ``sample_count`` directions per radius, each
-    radius from a fresh generator seeded with ``seed``.
+    Haar ``rule`` and samples ``sample_count`` directions per radius, the
+    radii from t_min up in turn from one generator seeded with ``seed``.
     """
     if not 0 < t_min <= t_max <= np.pi:
         raise ValueError(f"radii must satisfy 0 < t_min <= t_max <= pi, got {t_min}, {t_max}")
@@ -208,7 +209,7 @@ def modulus_profile(
     decades = np.log10(t_max / t_min)
     count = int(np.ceil(per_decade * decades)) + 1
     ts = np.geomspace(t_min, t_max, count)
-    vals = _largest_translate_norms(f, ts, lambda: np.random.default_rng(seed), sample_count, rule)
+    vals = _largest_translate_norms(f, ts, seed, sample_count, rule)
     omega = np.maximum.accumulate(vals)
     return ModulusProfile(t_values=ts[::-1].copy(), omega_values=omega[::-1].copy())
 
@@ -220,14 +221,12 @@ def dini_integral(profile: ModulusProfile, t_min: float) -> float:
     trapezoid rule on the profile's log-spaced grid is adequate.  When t_min
     falls between grid points the integrand is interpolated to the exact
     lower limit rather than truncating the domain.  t_min must lie within
-    the profile's radii.
+    the profile's radii; anything else, NaN included, raises ValueError.
     """
     ts = profile.t_values[::-1]
     om = profile.omega_values[::-1]
-    if t_min < ts[0] * (1 - 1e-12):
-        raise ValueError("profile does not reach down to t_min")
-    if t_min > ts[-1]:
-        raise ValueError(f"t_min {t_min} lies above the profile's largest radius {ts[-1]}")
+    if not ts[0] * (1 - 1e-12) <= t_min <= ts[-1]:  # NaN fails this test too
+        raise ValueError(f"t_min {t_min} lies outside the profile's radii [{ts[0]}, {ts[-1]}]")
     s = np.log(ts)
     y = om**2
     s_min = np.log(t_min)

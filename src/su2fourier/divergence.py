@@ -167,6 +167,11 @@ def _witness(n: int, scale: float, name: str) -> CentralFn:
     within about M eps of g_n at the rounded angle, the conditioning of a
     slope of M/pi.  ``fn`` fills new arrays only: it never writes to its
     argument and never copies it, so a read-only class angle costs nothing.
+
+    The coefficients c_m = (I_m - I_{m+2})/pi lose relative accuracy at
+    small m for large n, where I_m and I_{m+2} have one sign and nearly one
+    size: 9.6e-9 relative off 40-digit values at n = 16384.  Their absolute
+    error stays at rounding, within 6.2e-16 (|I_m| + |I_{m+2}|).
     """
     quarter = _period(n) / 4
 

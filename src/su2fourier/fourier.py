@@ -23,8 +23,8 @@ the frequency pairs of equal parity, the only ones a degree reads, and sums
 each degree over beta from views.  A central f, or a left translate of one,
 reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from
 two real (alpha, gamma) planes built once per call, and the functions of a
-batch translated by one z read one class angle per slab.  A real slab
-enters the gamma transform as one real matrix product against the
+batch translated by one z read one read-only class angle per slab.  A real
+slab enters the gamma transform as one real matrix product against the
 interleaved real and imaginary parts of the transform matrix.  The slabs of
 that two-plane path may run on several threads; ``_each_run`` says when, and
 why results do not depend on it.
@@ -115,13 +115,11 @@ class CentralFn:
     set them and store their arrays read-only.  ``cusps`` lists interior
     angles where the profile is continuous but not smooth, where graded
     quadrature rules put panel edges.  ``fn`` must not write to its
-    argument: on the Euler rule it reads a class angle that other functions
-    of a batch may share, read-only while they do (see ``_euler_slabs``).
-    A profile that copies a read-only argument, as the ``np.interp`` of
-    ``from_breakpoints`` does, pays that copy there unless it reads last.
-    It must be safe to call from several threads at once, unless the
-    function is band-limited: the beta slabs may evaluate it concurrently
-    (see ``_each_run``).
+    argument: on the Euler rule it reads a read-only class angle that other
+    functions of a batch may share (see ``_euler_slabs``).  It must be safe
+    to call from several threads at once, unless the function is
+    band-limited: the beta slabs may evaluate it concurrently (see
+    ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -239,7 +237,8 @@ def from_breakpoints(theta, values, name: str = "pl") -> CentralFn:
     interpolant is the profile on all of [0, pi]; both arrays must be 1-D,
     finite and of one length >= 2.  Anything else raises ValueError.  The
     coefficients and the squared norm are the profile's segment integrals,
-    and both arrays are stored as read-only copies.
+    and both arrays are stored as read-only copies.  Its np.interp copies
+    the read-only class angle of each Euler slab; no built-in profile does.
     """
     th, va = _read_only(theta, float), _read_only(values, float)
     if th.ndim != 1 or va.shape != th.shape or len(th) < 2:
@@ -563,14 +562,10 @@ def _euler_slabs(fs, planes):
     e^{-i(alpha-gamma)/2}), built once per call for each distinct z, so its
     slabs form no complex (a, b) arrays.  Each slab computes the class angle
     of each distinct z once, and every profile translated by that z reads
-    it.  While a later function of fs still has to read that angle, a
-    profile gets a read-only view of it, so writing to its argument raises
-    ValueError; the last reader gets the array itself, because np.interp
-    copies a read-only argument.  That rule serves only the np.interp
-    profiles of ``from_breakpoints``: the sawtooth witnesses evaluate their
-    closed form into new arrays and copy nothing.  Any other callable gets
-    the slab's own (a, b) arrays from the Euler phases, scaled by
-    cos(beta/2) and sin(beta/2).
+    it.  That angle is read-only, for every reader in a batch and for a
+    single function alike, so a profile that writes to its argument raises
+    ValueError.  Any other callable gets the slab's own (a, b) arrays from
+    the Euler phases, scaled by cos(beta/2) and sin(beta/2).
 
     ``split`` is the flag of ``_each_run``: true only if every function is
     on the two-plane path and none is band-limited.
@@ -591,11 +586,10 @@ def _euler_slabs(fs, planes):
             P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
             planes_of.append((P, -np.real(z.b * np.conj(phase_dif))))
         evals.append((g, zs.index(z)))
-    last = {j: i for i, (_, j) in enumerate(evals) if j is not None}  # last reader per z
 
     def slab(ib):
         angles = [None] * len(zs)  # the slab's class angle per translation
-        for i, (g, j) in enumerate(evals):
+        for g, j in evals:
             if j is None:
                 yield np.asarray(g(ib))
                 continue
@@ -607,11 +601,8 @@ def _euler_slabs(fs, planes):
                 x += sb[ib] * Q
                 np.clip(x, -1.0, 1.0, out=x)
                 angles[j] = np.arccos(x, out=x)
-            th = angles[j]
-            if i != last[j]:
-                th = th.view()
-                th.flags.writeable = False
-            yield np.asarray(g.fn(th))
+                x.flags.writeable = False
+            yield np.asarray(g.fn(angles[j]))
 
     return slab, all(j is not None and g.band_coeffs is None for g, j in evals)
 

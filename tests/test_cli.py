@@ -2,9 +2,11 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from types import ModuleType
 
 import numpy as np
@@ -235,6 +237,8 @@ def test_usage_error_exit_code(capsys):
         ["dini", "--t-min-list", "0"],
         ["dini", "--per-decade", "0"],
         ["dini", "--t-min-list", "0.5,0.001", "--t-max", "0.1"],
+        ["dini", "--t-min-list", "0.01,nan"],
+        ["dini", "--t-min-list", "nan,0.01"],
         ["modulus", "--per-decade", "0"],
         ["modulus", "--per-decade", "-3"],
         ["kernel-check", "--n-max", "-1"],
@@ -282,6 +286,36 @@ def test_coefficient_count_past_the_cap_is_a_usage_error(argv, capsys):
     assert time.perf_counter() - start < 0.5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("su2fourier: ") and "MAX_COEFFS" in err
+
+
+@contextmanager
+def _address_space_capped(limit=2**40):
+    # Linux's default heuristic overcommit refuses a 7 TiB request outright;
+    # the cap makes that refusal certain on a host that always overcommits
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lebesgue", "--n", "1000000000000"],
+        ["chain", "--n", "1000000000000"],
+        ["kernel-check", "--n-max", "1000000000000", "--grid", "2"],
+    ],
+    ids=["lebesgue", "chain", "kernel-check"],
+)
+def test_size_too_large_to_allocate_is_a_usage_error(argv, capsys):
+    # 10^12 entries are 7.3 TiB: NumPy's request fails at once and allocates nothing
+    with _address_space_capped():
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("su2fourier: out of memory: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

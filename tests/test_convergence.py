@@ -401,19 +401,17 @@ def test_integral_modulus_of_composed_translate_matches_nested(t):
 
 
 def test_modulus_profile_general_matches_translate_norms():
-    # general branch: each radius samples its own directions from a fresh
-    # generator seeded with the seed, then the running supremum over smaller
-    # radii makes the profile monotone
+    # general branch: the radii, smallest first, draw their directions in turn
+    # from one generator seeded with the seed, then the running supremum over
+    # smaller radii makes the profile monotone
     rng = np.random.default_rng(22)
     fz = left_translate(sawtooth(3), random_element(rng))
     rule = haar_grid(16)
     prof = modulus_profile(fz, 0.05, 0.8, per_decade=3, sample_count=3, seed=4, rule=rule)
     ts = prof.t_values[::-1]
+    directions = np.random.default_rng(4)
     single = [
-        max(
-            translate_norm_quadrature(fz, h, rule)
-            for h in _sampled_translations(np.random.default_rng(4), t, 3)
-        )
+        max(translate_norm_quadrature(fz, h, rule) for h in _sampled_translations(directions, t, 3))
         for t in ts
     ]
     assert np.array_equal(prof.omega_values[::-1], np.maximum.accumulate(single))
@@ -459,8 +457,9 @@ def test_dini_monotone_in_radius():
 def test_dini_requires_coverage():
     ts = np.geomspace(1e-2, 1, 33)
     prof = _profile_from(ts, ts)
-    with pytest.raises(ValueError):
-        dini_integral(prof, 1e-3)
+    for t_min in (1e-3, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="outside the profile's radii"):
+            dini_integral(prof, t_min)
 
 
 # ---------------------------------------------------------------- best approximation

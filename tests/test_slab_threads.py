@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,9 +25,17 @@ from su2fourier.convergence import (
     holder_test_function,
     integral_modulus,
     modulus_profile,
+    sqrt_shift_fn,
 )
-from su2fourier.divergence import divergence_table, sawtooth
-from su2fourier.fourier import CentralFn, band_limited_fn, left_translate, matrix_coeffs
+from su2fourier.divergence import divergence_table, sawtooth, sawtooth_normalized
+from su2fourier.fourier import (
+    CentralFn,
+    band_limited_fn,
+    char_fn,
+    const_fn,
+    left_translate,
+    matrix_coeffs,
+)
 from su2fourier.group import (
     GroupElement,
     QuadratureRule,
@@ -133,8 +142,8 @@ def test_batch_shares_one_class_angle_per_translation_and_slab():
     values = list(slab(3))
     assert len(values) == 4 and len(seen) == 3
     assert np.shares_memory(seen[0], seen[2]) and not np.shares_memory(seen[0], seen[1])
-    # read-only only while a later function reads the same angle
-    assert [th.flags.writeable for th in seen] == [False, True, True]
+    # read-only for every reader, the last one too
+    assert [th.flags.writeable for th in seen] == [False, False, False]
 
 
 def _mutating(th):
@@ -143,17 +152,47 @@ def _mutating(th):
 
 
 def test_profile_writing_to_a_shared_angle_raises():
-    fs = [left_translate(CentralFn(fn=_mutating), Z), left_translate(sawtooth(5), Z)]
-    with pytest.raises(ValueError, match="read-only"):
-        matrix_coeffs(fs, [2, 2], RULE)
+    writer, reader = left_translate(CentralFn(fn=_mutating), Z), left_translate(sawtooth(5), Z)
+    for fs in ([writer, reader], [reader, writer]):  # the first and the last reader
+        with pytest.raises(ValueError, match="read-only"):
+            matrix_coeffs(fs, [2, 2], RULE)
+    with pytest.raises(ValueError, match="read-only"):  # a single call
+        matrix_coeffs(writer, 2, RULE)
 
 
-def test_profile_writing_to_its_angle_last_corrupts_no_other_function():
-    fs = [left_translate(sawtooth(5), Z), left_translate(CentralFn(fn=_mutating), Z)]
-    batch = matrix_coeffs(fs, [2, 2], RULE)
-    for got, f in zip(batch, fs):
-        for G, W in zip(got, matrix_coeffs(f, 2, RULE)):
-            assert np.array_equal(G, W)
+_FAMILIES = {
+    "sawtooth": sawtooth(5),
+    "sawtooth_normalized": sawtooth_normalized(5),
+    "holder": holder_test_function(0.5),
+    "sqrtshift": sqrt_shift_fn(),
+    "char": char_fn(3),
+    "const": const_fn(0.5),
+    "band_limited_fn": band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j])),
+}
+
+
+def _traced_peak(fn, th):
+    tracemalloc.start()
+    try:
+        fn(th)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_family_profile_reads_a_read_only_angle_without_copying(family):
+    # every slab hands its profiles a read-only class angle, so a built-in
+    # profile must neither write to it nor copy it; from_breakpoints, whose
+    # np.interp copies a read-only argument, is the one documented exception
+    fn = _FAMILIES[family].fn
+    th = np.random.default_rng(5).uniform(0.0, np.pi, (136, 272))
+    before = th.copy()
+    read_only = th.view()
+    read_only.flags.writeable = False
+    fn(th)  # fill any cache first
+    assert _traced_peak(fn, read_only) == _traced_peak(fn, th)
+    assert np.array_equal(th, before)
 
 
 def test_batch_releases_each_value_array_before_the_next_function():
