@@ -153,11 +153,32 @@ def _mutating(th):
 
 def test_profile_writing_to_a_shared_angle_raises():
     writer, reader = left_translate(CentralFn(fn=_mutating), Z), left_translate(sawtooth(5), Z)
-    for fs in ([writer, reader], [reader, writer]):  # the first and the last reader
-        with pytest.raises(ValueError, match="read-only"):
-            matrix_coeffs(fs, [2, 2], RULE)
+    with pytest.raises(ValueError, match="read-only"):  # the first reader
+        matrix_coeffs([writer, reader], [2, 2], RULE)
     with pytest.raises(ValueError, match="read-only"):  # a single call
         matrix_coeffs(writer, 2, RULE)
+
+
+def test_profile_writing_to_its_angle_last_corrupts_no_other_function():
+    # the last reader gets the same read-only angle as the others, so its
+    # write is refused and the angle an earlier function read stays as it was
+    seen = []
+
+    def recording(th):
+        seen.append((th, th.copy()))
+        return np.cos(th)
+
+    reader = left_translate(CentralFn(fn=recording), Z)
+    writer = left_translate(CentralFn(fn=_mutating), Z)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix_coeffs([reader, writer], [2, 2], RULE)
+    assert seen
+    for th, before in seen:
+        assert np.array_equal(th, before)
+    fs = [left_translate(sawtooth(5), Z), reader]
+    for got, f in zip(matrix_coeffs(fs, [2, 2], RULE), fs):
+        for G, W in zip(got, matrix_coeffs(f, 2, RULE)):
+            assert np.array_equal(G, W)
 
 
 _FAMILIES = {
