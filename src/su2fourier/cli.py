@@ -10,8 +10,8 @@ beta-slab threads of the 3D paths nor the BLAS library's thread count
 changes it: every central function has exact coefficients and norm.
 
 Exit codes: 0 success, 1 when a margin-style check fails (the offending rows
-are listed on stderr), 2 on usage errors, a size too large to allocate
-included.  The environment variable
+are listed on stderr), 2 on usage errors, a size too large to allocate and
+an output file that cannot be written included.  The environment variable
 SU2FOURIER_OUTDIR supplies a default directory for relative output paths.
 """
 
@@ -428,8 +428,12 @@ def run(argv) -> int:
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            write_table(meta, rows, args.fmt, fh)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                write_table(meta, rows, args.fmt, fh)
+        except OSError as exc:  # a missing directory or an unwritable file
+            print(f"su2fourier: cannot write --output: {exc}", file=sys.stderr)
+            return 2
     else:
         write_table(meta, rows, args.fmt, sys.stdout)
     if failures:

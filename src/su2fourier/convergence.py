@@ -85,12 +85,9 @@ _SINC_SERIES = tuple((-1) ** (k + 1) / factorial(2 * k + 1) for k in range(1, 12
 
 
 def _one_minus_sinc(y):
-    """P(y) = 1 - sin(y)/y by Horner's rule on its alternating series."""
+    """P(y) = 1 - sin(y)/y from its alternating series, by Horner's rule in np.polyval."""
     y2 = y * y
-    acc = 0.0
-    for a in reversed(_SINC_SERIES):
-        acc = acc * y2 + a
-    return acc * y2
+    return np.polyval(_SINC_SERIES[::-1], y2) * y2
 
 
 def central_translate_norm(coeffs: np.ndarray, r) -> np.ndarray | float:

@@ -81,7 +81,8 @@ quantity up to rounding (each is >= 0 for n = 2..1024 and n = 2^k up to
 Left translation L_z f(y) = f(z y) moves the blow-up point: the partial sums
 satisfy S_n(L_z f)(x) = S_n f(z x), so the translated witnesses blow up at
 z^{-1} -- ``divergence_table`` cross-checks this identity through the honest
-3D quadrature path against the exact central path.
+3D quadrature path, one batched ``partial_sum_general`` call per point,
+against the exact central path.
 """
 
 from __future__ import annotations
@@ -94,13 +95,10 @@ from .group import GroupElement, QuadratureRule
 from .fourier import (
     CentralFn,
     _coeffs_from_cos_moments,
-    _projection_sums,
-    _store_runs,
     left_translate,
     lebesgue_constant,
-    matrix_coeffs,
+    partial_sum_general,
 )
-from .representations import truncation_set
 
 __all__ = [
     "sawtooth",
@@ -294,12 +292,12 @@ def verify_chain(n: int, alpha: float = 0.5) -> ChainReport:
     per_freq = g_sin[:, 1:] - g_sin[:, :-1] + slope * (cos_t[:, 1:] - cos_t[:, :-1]) / m**2
     cell_vals = (per_freq[0] + per_freq[1]) / 2  # cos((n+3/2)t) cos(t/2), halved
     lhs = cell_vals[: n + 1]
-    ks = np.arange(n + 1)
-    rhs = (2 * np.pi / (3 * M)) * np.cos((ks + 1) * np.pi / M)
+    cos_k = np.cos(np.arange(1, n + 2) * np.pi / M)  # cos(k pi/M), k = 1..n+1
+    rhs = (2 * np.pi / (3 * M)) * cos_k
     intervals = np.stack([lhs, rhs, lhs - rhs], axis=1)
     tail = float(cell_vals[n + 1])
 
-    cosine_sum = float(np.sum(np.cos(np.arange(1, n + 2) * np.pi / M)))
+    cosine_sum = float(np.sum(cos_k))
     D = float(1 / np.sin(np.pi / (2 * M)))  # D_{n+1}(pi/M), see the module docstring
     identity_error = abs(cosine_sum - (D - 1) / 2)
 
@@ -369,34 +367,23 @@ def divergence_table(points, n_list, rule: QuadratureRule) -> list:
     witness on the 3D rule; the second is the exact central path.  They agree
     up to the quadrature error of the rough integrand, which the rel_gap
     column reports.  Each witness and its exact value are built once per
-    call, so a bad n raises before any grid work.  At each point, n_list
-    goes in consecutive runs (``_store_runs``: a run's Y stores total at most
-    twice the largest single one) and each run takes one batched
-    ``matrix_coeffs`` call (one pass over the rule's slabs, sharing the class
-    angle of the translation by z^-1) and one representation walk at z for
-    its projection sums.  A short list such as 4, 8, 16 is one run.  The rows
-    are bitwise those of one ``partial_sum_general`` call per point and n.
+    call, so a bad n raises before any grid work.  Each point takes one
+    ``partial_sum_general`` call with every n, which keeps the batch's memory
+    cap: a short list such as 4, 8, 16 is one pass over the rule's slabs,
+    sharing the class angle of the translation by z^-1, and one walk at z.
+    The rows are bitwise those of one call per point and n.
     """
     witnesses = [(n, sawtooth(n), partial_sum_at_identity(n)) for n in n_list]
-    sets = [truncation_set("polyhedral", n) for n in n_list]
-    runs = _store_runs([r[-1] for r in sets])
+    if not witnesses:  # a batch needs at least one function
+        return []
     rows = []
     for z in points:
         zi = z.inverse()
-        for run in runs:
-            fs = [left_translate(f, zi) for _, f, _ in witnesses[run]]
-            bounds = [r[-1] for r in sets[run]]
-            sums = _projection_sums(matrix_coeffs(fs, bounds, rule), sets[run], z)
-            for (n, _, exact), general in zip(witnesses[run], sums):
-                gap = abs(general - exact) / abs(exact)
-                rows.append(
-                    DivergenceRow(
-                        z=z,
-                        n=n,
-                        general_abs=abs(general),
-                        central_abs=abs(exact),
-                        rel_gap=float(gap),
-                        growth=abs(exact) / n,
-                    )
-                )
+        fs = [left_translate(f, zi) for _, f, _ in witnesses]
+        sums = partial_sum_general(fs, [n for n, _, _ in witnesses], "polyhedral", z, rule)
+        for (n, _, exact), general in zip(witnesses, sums):
+            rows.append(DivergenceRow(
+                z=z, n=n, general_abs=abs(general), central_abs=abs(exact),
+                rel_gap=float(abs(general - exact) / abs(exact)), growth=abs(exact) / n,
+            ))
     return rows

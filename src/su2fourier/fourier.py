@@ -11,6 +11,8 @@ General square-integrable functions carry matrix coefficients
 
 with projections P_n f(x) = (n+1) tr(F_n pi_n(x)); the spherical/polyhedral
 partial sums add the projections over the corresponding truncation sets.
+``partial_sum_general`` also takes a batch, one order per function, and
+owns the batch's memory cap (``_store_runs``).
 For a central f the blocks are scalar, F_n = (c_n / (n+1)) I.  One
 evaluator, ``_euler_slabs``, turns a batch of functions into their values on
 the Euler tensor rule, one beta slab at a time, from the Euler phases of the
@@ -196,6 +198,8 @@ def _band_norm_sq(c: np.ndarray) -> float:
 def char_fn(n: int) -> CentralFn:
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
+    if n >= MAX_COEFFS:  # before the n + 1 coefficients are allocated
+        raise ValueError(f"degree n = {n} needs more than MAX_COEFFS = {MAX_COEFFS} coefficients")
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     coeffs.flags.writeable = False
@@ -220,8 +224,11 @@ def const_fn(value: float = 1.0) -> CentralFn:
 
 
 def band_limited_fn(coeffs, name: str = "band") -> CentralFn:
-    """sum_n c_n chi_n for the given chi-coefficients (copied, read-only)."""
+    """sum_n c_n chi_n for 1-D finite chi-coefficients, 1 to MAX_COEFFS many (copied, read-only)."""
     c = _read_only(coeffs)
+    if c.ndim != 1 or not 0 < len(c) <= MAX_COEFFS or not np.all(np.isfinite(c)):
+        raise ValueError(f"band-limited coefficients must be 1-D, finite and 1 to "
+                         f"MAX_COEFFS = {MAX_COEFFS} many, got shape {c.shape}")
 
     def fn(th):
         vals = np.tensordot(c, char_table(len(c) - 1, np.atleast_1d(th)), axes=1)
@@ -726,6 +733,7 @@ def _store_runs(bounds) -> list:
     while its stores total at most twice the largest single store, so a
     batch of a long list of bounds holds at most about twice the memory of
     its largest single call, and a few small bounds share a larger one's pass.
+    Its one caller, ``partial_sum_general``, sets every batch's memory cap here.
     """
     sizes = [(n + 1) ** 2 + n**2 for n in bounds]
     cap = 2 * max(sizes, default=0)
@@ -778,22 +786,29 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
     return norms
 
 
-def _projection_sums(Fs, sets, x: GroupElement) -> list:
-    """sum over each truncation set r of (k+1) tr(F_k pi_k(x)), one per (F, r).
+def partial_sum_general(f, N, mode: str, x: GroupElement, rule: QuadratureRule):
+    """sum over truncation_set(mode, N) of (k+1) tr(F_k pi_k(x)), F_k from ``matrix_coeffs``.
 
-    Fs holds one F_0..F_{r[-1]} list per set.  One ``repr_matrices`` walk up
-    to the largest degree serves every set; each sum adds its terms in k
-    order, as a walk of its own would.
+    f may also be a sequence of functions with a sequence N of as many
+    orders; the call then returns one sum per function, each bitwise what
+    the call with that function alone returns.  This owns the batch's memory
+    rule: the orders go in consecutive runs (``_store_runs``), each one
+    batched ``matrix_coeffs`` pass and one ``repr_matrices`` walk at x whose
+    F_k lists are released before the next run's pass, so a long batch holds
+    about twice the memory of its largest single call.  A negative order,
+    and every batch form ``matrix_coeffs`` refuses, raise ValueError.
     """
-    totals = [0.0 + 0.0j for _ in sets]
-    for k, Pi in enumerate(repr_matrices(max(r[-1] for r in sets), x.a, x.b)):
-        for i, (F, r) in enumerate(zip(Fs, sets)):
-            if k in r:
-                totals[i] += (k + 1) * np.trace(F[k] @ Pi)
-    return [complex(t) for t in totals]
-
-
-def partial_sum_general(f, N: int, mode: str, x: GroupElement, rule: QuadratureRule):
-    """sum over the truncation set of (k+1) tr(F_k pi_k(x))."""
-    r = truncation_set(mode, N)
-    return _projection_sums([matrix_coeffs(f, r[-1], rule)], [r], x)[0]
+    fs, orders = _batch(f, N)
+    sets = [truncation_set(mode, n) for n in orders]
+    bounds = [r[-1] for r in sets]
+    sums = []
+    for run in _store_runs(bounds):
+        Fs = matrix_coeffs(fs[run], bounds[run], rule)
+        totals = [0.0 + 0.0j for _ in Fs]
+        for k, Pi in enumerate(repr_matrices(max(bounds[run]), x.a, x.b)):
+            for i, r in enumerate(sets[run]):
+                if k in r:
+                    totals[i] += (k + 1) * np.trace(Fs[i][k] @ Pi)
+        sums += [complex(t) for t in totals]
+        del Fs  # the only reference: released before the next run's pass
+    return sums[0] if callable(f) else sums

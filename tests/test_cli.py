@@ -434,6 +434,8 @@ def test_diverge_checks_n_before_the_grid(monkeypatch, capsys):
         ("holder:1.5", "is invalid: alpha must lie in (0, 1)"),
         ("sawtooth:1", "is invalid: sawtooth witnesses need n >= 2"),
         ("char:-1", "is invalid: degree n must be >= 0, got -1"),
+        ("char:4194304", "is invalid: degree n = 4194304 needs more than MAX_COEFFS = 4194304 "
+                         "coefficients"),
     ],
 )
 def test_function_spec_argument_mismatch_is_usage_error(spec, problem, capsys):
@@ -461,6 +463,21 @@ def test_every_package_name_is_exported_by_its_module():
         if not name.startswith("_") and not isinstance(getattr(su2fourier, name), ModuleType)
     ]
     assert public and [name for name in public if name not in exported] == []
+
+
+@pytest.mark.parametrize("where", ["path", "outdir"])
+def test_output_into_a_missing_directory_is_usage_error(where, tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing"
+    if where == "outdir":
+        monkeypatch.setenv("SU2FOURIER_OUTDIR", str(missing))
+        output = "x.json"
+    else:
+        output = str(missing / "x.json")
+    assert run(["lebesgue", "--n", "0", "--format", "json", "--output", output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("su2fourier: cannot write --output: ") and err.count("\n") == 1
+    assert str(missing / "x.json") in err and not missing.exists()
 
 
 def test_outdir_env(tmp_path, monkeypatch):

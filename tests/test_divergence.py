@@ -12,6 +12,8 @@ from su2fourier.fourier import (
     _pl_norm_sq,
     _store_runs,
     lebesgue_constant,
+    left_translate,
+    partial_sum_general,
 )
 from su2fourier.divergence import (
     divergence_table,
@@ -443,6 +445,14 @@ def test_divergence_table_memory_stays_near_its_largest_single_n():
     rule = haar_grid(8)
     largest = _traced_peak(lambda: divergence_table(z, [40], rule))
     assert _traced_peak(lambda: divergence_table(z, list(range(2, 41)), rule)) <= 2 * largest
+    # partial_sum_general owns that batch: its F_k lists alone total about
+    # 3.4 MB here, so each run's are released before the next run's pass
+    fs = [left_translate(sawtooth(n), z[0]) for n in range(2, 41)]
+
+    def sums(f, N):
+        return lambda: partial_sum_general(f, N, "polyhedral", z[0], rule)
+
+    assert _traced_peak(sums(fs, list(range(2, 41)))) <= 2 * _traced_peak(sums(fs[-1], 40))
 
 
 def test_divergence_table_rejects_a_bad_n_before_the_grid():

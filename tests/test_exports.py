@@ -1,8 +1,10 @@
 """Every name a module exports exists, and the package re-exports only such
 names, so a deletion cannot leave a stale export behind.  Importing the
 package loads no module beyond a fixed list, so the import path cannot grow
-unnoticed."""
+unnoticed, and no module imports another's private names beyond a fixed
+list, so a decision two modules share cannot spread unnoticed."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -58,3 +60,26 @@ def test_import_path_loads_only_the_known_modules():
     assert "su2fourier.divergence" in out
     known = ("su2fourier", "numpy.polynomial")
     assert [m for m in out if m not in _IMPORT_PATH and not m.startswith(known)] == []
+
+
+# (importer, module, name) of every private name one package module imports
+# from another (dunders such as __version__ are public); each is a decision
+# two modules share, so extend this only in a change that says why
+_PRIVATE_IMPORTS = {
+    ("convergence", "fourier", "_coeffs_from_cos_moments"),
+    ("convergence", "fourier", "_translate_norms"),
+    ("divergence", "fourier", "_coeffs_from_cos_moments"),
+}
+
+
+def test_modules_import_only_the_known_private_names():
+    found = set()
+    for path in Path(su2fourier.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                }
+    assert found == _PRIVATE_IMPORTS

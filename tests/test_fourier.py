@@ -178,6 +178,32 @@ def test_from_breakpoints_rejects_bad_input(theta, values):
         from_breakpoints(theta, values)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[[1.0, 2.0], [3.0, 4.0]], [], 1.0, [0.5, np.nan], [np.inf], [1.0, complex(0, np.inf)],
+     [0.1] * 9],
+    ids=["2-d", "empty", "scalar", "nan", "inf", "complex-inf", "past-the-cap"],
+)
+def test_band_limited_fn_rejects_bad_input(coeffs, monkeypatch):
+    monkeypatch.setattr(fourier, "MAX_COEFFS", 8)  # nine coefficients are one too many
+    with pytest.raises(ValueError, match="band-limited coefficients must be 1-D, finite"):
+        band_limited_fn(coeffs)
+    assert len(band_limited_fn([0.1] * 8).coeffs(7)) == 8
+
+
+def test_char_fn_past_the_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(fourier, "MAX_COEFFS", 8)
+    assert char_fn(7).coeffs(7)[7] == 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="degree n = 10000000000 needs more than MAX_COEFFS = 8"):
+            char_fn(10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_constructors_copy_their_input():
     c = np.array([0.3, 0.1, -0.2, 0.9])
     f = band_limited_fn(c)
@@ -389,7 +415,7 @@ def test_matrix_coeffs_batch_rejects_negative_n_max_as_one_call_does():
         matrix_coeffs([sawtooth(3), sawtooth(4)], [2, -1], haar_grid(8))
 
 
-@pytest.mark.parametrize(
+_BATCH_USAGE_ERRORS = pytest.mark.parametrize(
     "f, n_max, problem",
     [
         ([sawtooth(3), sawtooth(4)], 2, "needs a sequence of bounds n_max, one per function"),
@@ -400,6 +426,9 @@ def test_matrix_coeffs_batch_rejects_negative_n_max_as_one_call_does():
     ],
     ids=["batch-one-bound", "fewer-bounds", "more-bounds", "empty", "one-function-a-list"],
 )
+
+
+@_BATCH_USAGE_ERRORS
 def test_matrix_coeffs_batch_usage_errors(f, n_max, problem):
     with pytest.raises(ValueError, match=problem):
         matrix_coeffs(f, n_max, haar_grid(8))
@@ -789,6 +818,37 @@ def test_partial_sum_general_spherical_mode():
     sph = partial_sum_general(f, 2, "spherical", x, rule)
     pol = partial_sum_general(f, 3, "polyhedral", x, rule)
     assert abs(sph - pol) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["polyhedral", "spherical"])
+def test_partial_sum_general_batch_is_bitwise_the_single_calls(mode):
+    # orders 5, 2, 12, 5, 12 make two store runs in both modes, so the batch
+    # makes two passes and two representation walks
+    rng = np.random.default_rng(6)
+    z, x = random_element(rng), random_element(rng)
+    band = left_translate(band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j])), z)
+    fs = [left_translate(sawtooth(5), z), band, _complex_general,
+          left_translate(sawtooth(7), z), band]
+    orders = [5, 2, 12, 5, 12]
+    bounds = [truncation_set(mode, n)[-1] for n in orders]
+    assert fourier._store_runs(bounds) == [slice(0, 4), slice(4, 5)]
+    rule = haar_grid(20)
+    singles = [partial_sum_general(f, n, mode, x, rule) for f, n in zip(fs, orders)]
+    assert partial_sum_general(fs, orders, mode, x, rule) == singles
+    assert all(type(s) is complex for s in singles)
+
+
+@_BATCH_USAGE_ERRORS
+def test_partial_sum_general_batch_usage_errors(f, n_max, problem):
+    with pytest.raises(ValueError, match=problem):
+        partial_sum_general(f, n_max, "polyhedral", GroupElement(1.0 + 0j, 0j), haar_grid(8))
+
+
+@pytest.mark.parametrize("f, N", [(sawtooth(3), -1), ([sawtooth(3), sawtooth(4)], [2, -1])],
+                         ids=["single", "batch"])
+def test_partial_sum_general_rejects_a_negative_order(f, N):
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        partial_sum_general(f, N, "polyhedral", GroupElement(1.0 + 0j, 0j), haar_grid(8))
 
 
 # ---------------------------------------------------------------- Lebesgue constants
