@@ -209,8 +209,7 @@ def _cmd_kernel_check(args):
 
 def _cmd_lebesgue(args):
     rows = []
-    for n in args.n:
-        val = lebesgue_constant(n)
+    for n, val in zip(args.n, lebesgue_constant(args.n).tolist()):
         asym = float(4 / np.pi**2 * np.log(n + 1))
         rows.append({"n": n, "l1_norm": val, "asymptote": asym, "gap": val - asym})
     return rows, []
@@ -224,8 +223,7 @@ _CHAIN_COLUMNS = (
 
 def _cmd_chain(args):
     rows, failures = [], []
-    for n in args.n:
-        rep = verify_chain(n, alpha=args.alpha)
+    for n, rep in zip(args.n, verify_chain(args.n, alpha=args.alpha)):
         ok = rep.ok() and rep.identity_error <= CHAIN_IDENTITY_TOL
         rows.append({c: getattr(rep, c) for c in _CHAIN_COLUMNS} | {"ok": ok})
         if not ok:
@@ -408,9 +406,14 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
     output = _resolve_output(args.output)
+    if output and not os.path.isdir(os.path.dirname(output) or "."):
+        # before the handler, which may run long; no file is created yet
+        print(f"su2fourier: cannot write --output: no directory for {output!r}", file=sys.stderr)
+        return 2
     try:
         rows, failures = args.handler(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+        # OverflowError: a size beyond int64, which the batch forms store n in
         print(f"su2fourier: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size too large to allocate is a usage error too
@@ -431,7 +434,7 @@ def run(argv) -> int:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 write_table(meta, rows, args.fmt, fh)
-        except OSError as exc:  # a missing directory or an unwritable file
+        except OSError as exc:  # an unwritable file
             print(f"su2fourier: cannot write --output: {exc}", file=sys.stderr)
             return 2
     else:

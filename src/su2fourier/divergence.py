@@ -76,7 +76,10 @@ forms, with signed margins.  The per-interval integrals and the tail piece
 are (linear) x [cos((n+2) theta) + cos((n+1) theta)]/2 on each cell, integrated
 through their explicit antiderivatives.  Every margin is then an exact
 quantity up to rounding (each is >= 0 for n = 2..1024 and n = 2^k up to
-2^16), so a negative margin means the inequality is false.
+2^16), so a negative margin means the inequality is false.  Given a list
+of n, it evaluates the forms of consecutive n in one ragged array per run
+of a few thousand entries, as ``lebesgue_constant`` does Fejer's sums, and
+each report is bitwise the one its n gives alone.
 
 Left translation L_z f(y) = f(z y) moves the blow-up point: the partial sums
 satisfy S_n(L_z f)(x) = S_n f(z x), so the translated witnesses blow up at
@@ -95,6 +98,7 @@ from .group import GroupElement, QuadratureRule
 from .fourier import (
     CentralFn,
     _coeffs_from_cos_moments,
+    _ragged_runs,
     left_translate,
     lebesgue_constant,
     partial_sum_general,
@@ -131,25 +135,30 @@ def sawtooth_breakpoints(n: int):
     return th, va
 
 
-def _witness_moments(n: int, kmax: int) -> np.ndarray:
-    """I_k = int_0^pi g_n cos(k theta) d(theta) for k = 0..kmax, in closed form.
+def _moments(n, k):
+    """I_k = int_0^pi g_n cos(k theta) d(theta) for k >= 1, in closed form,
+    elementwise over integer n and k (arrays that broadcast).
 
     sin^2(pi k/2M) reads k mod 2M folded into [0, M], and cos(pi k/M) is
     sin(pi r/2M) with the integer r = M - 2k folded into [-M, M], so both
     sines take arguments within pi/2 and round relatively, at any k.
     """
-    M = _period(n)
-    k = np.arange(1, kmax + 1)
+    M = 2 * n + 3
     q = k % (2 * M)  # both sines have period 2M in k
     r = M - 2 * q  # in (-3M, M]; sin(pi r/2M) = sin(pi (-2M - r)/2M)
     r = np.where(r < -M, -2 * M - r, r)
     q = np.minimum(q, 2 * M - q)  # sin(pi q/2M) = sin(pi (2M - q)/2M)
-    sign = 1.0 - 2.0 * ((n + 1 + k) % 2)
-    I = np.empty(kmax + 1)
-    I[0] = (-1.0) ** (n + 1) * np.pi / (2 * M)
-    I[1:] = sign * (2 * M / np.pi) * np.sin(np.pi * q / (2 * M)) ** 2 / (
+    sign = 1.0 - 2.0 * ((n + 1 + k) & 1)
+    return sign * (2 * M / np.pi) * np.sin(np.pi * q / (2 * M)) ** 2 / (
         k**2 * np.sin(np.pi * r / (2 * M))
     )
+
+
+def _witness_moments(n: int, kmax: int) -> np.ndarray:
+    """I_0..I_kmax of g_n; requires n >= 2."""
+    I = np.empty(kmax + 1)
+    I[0] = (-1.0) ** (n + 1) * np.pi / (2 * _period(n))
+    I[1:] = _moments(n, np.arange(1, kmax + 1))
     return I
 
 
@@ -263,66 +272,18 @@ class ChainReport:
         return self.min_margin >= -CHAIN_MARGIN_TOL
 
 
-def verify_chain(n: int, alpha: float = 0.5) -> ChainReport:
-    """Evaluate the split and its inequality chain in closed form, with signed margins.
-
-    Margin violations are reported, not raised; each margin is exact to
-    rounding, so a violation would mean a false inequality.  ``alpha`` is the
-    Hoelder exponent of ``lip_norm_bound``; outside 0 < alpha <= 1, where the
-    interpolation behind ``holder_bound`` holds, it raises ValueError.
-    """
-    if not 0.0 < alpha <= 1.0:  # NaN fails this test too
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    M = _period(n)
-    I = _witness_moments(n, n + 2)
-    # cell j runs from t_j = pi e_j/M to t_{j+1}, with e_j = 2j for j <= n+1 and
-    # e_{n+2} = M (t = pi); on it g falls from v_j = (-1)^j to v_{j+1} (v_{n+2}
-    # = 0) with slope s_j = -(M/pi) v_j.  int g cos(m theta) over the cell is
-    # [g sin(m theta)/m + s_j cos(m theta)/m^2] between its ends, for m = n+1
-    # and n+2, with each angle m t_j = pi (m e_j mod 2M)/M reduced in integers.
-    e = np.arange(0, 2 * n + 5, 2)
-    e[-1] = M
-    m = np.array([[n + 1], [n + 2]])
-    angle = np.pi * ((m * e) % (2 * M)) / M
-    v = (-1.0) ** np.arange(n + 3)
-    v[-1] = 0.0
-    g_sin = v * np.sin(angle) / m
-    cos_t = np.cos(angle)
-    slope = -(M / np.pi) * v[:-1]
-    per_freq = g_sin[:, 1:] - g_sin[:, :-1] + slope * (cos_t[:, 1:] - cos_t[:, :-1]) / m**2
-    cell_vals = (per_freq[0] + per_freq[1]) / 2  # cos((n+3/2)t) cos(t/2), halved
-    lhs = cell_vals[: n + 1]
-    cos_k = np.cos(np.arange(1, n + 2) * np.pi / M)  # cos(k pi/M), k = 1..n+1
-    rhs = (2 * np.pi / (3 * M)) * cos_k
-    intervals = np.stack([lhs, rhs, lhs - rhs], axis=1)
-    tail = float(cell_vals[n + 1])
-
-    cosine_sum = float(np.sum(cos_k))
-    D = float(1 / np.sin(np.pi / (2 * M)))  # D_{n+1}(pi/M), see the module docstring
-    identity_error = abs(cosine_sum - (D - 1) / 2)
-
-    # the split; the bounded term is summed directly, not as value + osc
-    head = I[0] + 2 * np.sum(I[1 : n + 1])
-    bounded = float((head + 1.5 * I[n + 1] + 0.5 * I[n + 2]) / np.pi)
-    osc = float(M / (2 * np.pi) * (I[n + 1] + I[n + 2]))
-    summed = float(np.sum(rhs))  # tail bound is 0
+def _chain_report(n, alpha, intervals, tail, cosine_sum, D, summed, bounded, osc, leb):
+    """The ``ChainReport`` of n from its closed-form pieces, with every margin."""
+    M = 2 * n + 3
     final = (D - 1) / 3  # = (M/pi) * summed via the cosine identity
     floor = 2 * M / np.pi
-    leb = lebesgue_constant(n)
-    margins = {
-        "intervals": float(intervals[:, 2].min()),
-        "tail": tail,
-        "oscillatory_vs_final": osc - final,
-        "bounded_vs_lebesgue": leb - abs(bounded),
-        "dirichlet_floor": D - floor,
-    }
     return ChainReport(
         n=n,
         intervals=intervals,
         tail_integral=tail,
         cosine_sum=cosine_sum,
         dirichlet_value=D,
-        identity_error=identity_error,
+        identity_error=abs(cosine_sum - (D - 1) / 2),
         summed_bound=summed,
         final_lower_bound=final,
         dirichlet_floor=floor,
@@ -331,8 +292,88 @@ def verify_chain(n: int, alpha: float = 0.5) -> ChainReport:
         value=bounded - osc,
         lebesgue=leb,
         lip_norm_bound=np.pi / M + float(holder_bound(n, alpha)),
-        margins=margins,
+        margins={
+            "intervals": float(intervals[:, 2].min()),
+            "tail": tail,
+            "oscillatory_vs_final": osc - final,
+            "bounded_vs_lebesgue": leb - abs(bounded),
+            "dirichlet_floor": D - floor,
+        },
     )
+
+
+def verify_chain(n, alpha: float = 0.5):
+    """Evaluate the split and its inequality chain in closed form, with signed margins.
+
+    ``n`` is one n >= 2, which gives its ``ChainReport``, or a sequence of
+    them, which gives a list of reports in order, each bitwise the call with
+    its own n.  Consecutive n share one ragged array of at most
+    ``fourier._RUN_ENTRIES`` entries, n + 3 each (a larger n runs alone):
+    the moments, the cell antiderivatives, cos(k pi/M), D_{n+1}(pi/M) and
+    the Lebesgue constants of a run take one set of NumPy calls, and only
+    each n's sums over its own slice and its report are formed per n.
+    ``alpha`` and every n are checked before any array is built.
+
+    Margin violations are reported, not raised; each margin is exact to
+    rounding, so a violation would mean a false inequality.  ``alpha`` is the
+    Hoelder exponent of ``lip_norm_bound``; outside 0 < alpha <= 1, where the
+    interpolation behind ``holder_bound`` holds, it raises ValueError.
+    """
+    if not 0.0 < alpha <= 1.0:  # NaN fails this test too
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    ns = [n] if np.ndim(n) == 0 else list(n)
+    for nn in ns:
+        if nn < 2:
+            raise ValueError(f"sawtooth witnesses need n >= 2, got {nn}")
+    reports = []
+    for items, first, j in _ragged_runs([nn + 3 for nn in ns]):
+        # entry j = 0..n+2 of each n holds I_j, the breakpoint e_j and cos((j+1) pi/M)
+        nr = np.array(ns[items], dtype=np.int64)
+        Mr = 2 * nr + 3
+        n_j, M = np.repeat(nr, nr + 3), np.repeat(Mr, nr + 3)
+        last = first + nr + 2  # entry n + 2
+        I = _moments(n_j, np.maximum(j, 1))
+        I[first] = (-1.0) ** (nr + 1) * np.pi / (2 * Mr)
+        # cell j runs from t_j = pi e_j/M to t_{j+1}, with e_j = 2j for j <= n+1 and
+        # e_{n+2} = M (t = pi); on it g falls from v_j = (-1)^j to v_{j+1} (v_{n+2}
+        # = 0) with slope s_j = -(M/pi) v_j.  int g cos(m theta) over the cell is
+        # [g sin(m theta)/m + s_j cos(m theta)/m^2] between its ends, for m = n+1
+        # and n+2, with each angle m t_j = pi (m e_j mod 2M)/M reduced in integers.
+        # The difference from an n's last entry to the next n's first is never read.
+        e = 2 * j
+        e[last] = Mr
+        m = np.stack([n_j + 1, n_j + 2])
+        angle = np.pi * ((m * e) % (2 * M)) / M
+        v = 1.0 - 2.0 * (j & 1)  # (-1)^j
+        v[last] = 0.0
+        g_sin = v * np.sin(angle) / m
+        cos_t = np.cos(angle)
+        slope = -(M[:-1] / np.pi) * v[:-1]
+        per_freq = g_sin[:, 1:] - g_sin[:, :-1] + slope * (
+            cos_t[:, 1:] - cos_t[:, :-1]
+        ) / m[:, :-1] ** 2
+        cell_vals = (per_freq[0] + per_freq[1]) / 2  # cos((n+3/2)t) cos(t/2), halved
+        cos_k = np.cos((j + 1) * np.pi / M)[:-1]  # cos(k pi/M), k = 1..n+1 at j = 0..n
+        rhs = (2 * np.pi / (3 * M[:-1])) * cos_k
+        table = np.stack([cell_vals, rhs, cell_vals - rhs], axis=1)
+        D = 1 / np.sin(np.pi / (2 * Mr))  # D_{n+1}(pi/M), see the module docstring
+
+        cells = [slice(a, a + k) for a, k in zip(first.tolist(), (nr + 1).tolist())]
+        # the split; the bounded term is summed directly, not as value + osc
+        head = I[first] + 2 * np.array([np.add.reduce(I[c.start + 1 : c.stop]) for c in cells])
+        bounded = (head + 1.5 * I[last - 1] + 0.5 * I[last]) / np.pi
+        osc = Mr / (2 * np.pi) * (I[last - 1] + I[last])
+        pieces = zip(
+            ns[items], cells, cell_vals[last - 1].tolist(), D.tolist(), bounded.tolist(),
+            osc.tolist(), lebesgue_constant(nr).tolist(),
+        )
+        for nn, c, tail, Dn, bt, ot, leb in pieces:
+            cosine_sum = float(np.add.reduce(cos_k[c]))
+            summed = float(np.add.reduce(rhs[c]))  # the tail's bound is 0
+            reports.append(
+                _chain_report(nn, alpha, table[c], tail, cosine_sum, Dn, summed, bt, ot, leb)
+            )
+    return reports[0] if np.ndim(n) == 0 else reports
 
 
 def partial_sum_at_identity(n: int) -> float:

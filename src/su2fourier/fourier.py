@@ -41,7 +41,8 @@ sum as its one fallback where |sin theta| or |sin(theta/2)| is below 1e-4.  The
 L^1 norm (Lebesgue constant) of D_{n+1} is Fejer's finite sum
 1/M + (2/pi) sum_{k<=n+1} tan(k pi/M)/k, M = 2n+3, exact up to rounding; no
 kernel value and no quadrature enters it (the panel quadrature between the
-zeros of the numerator survives only as a test oracle).
+zeros of the numerator survives only as a test oracle).  ``lebesgue_constant``
+takes a list of n as well, whose sums share ragged runs (``_ragged_runs``).
 
 Partial sums are computed in coefficient space (exact for band-limited
 inputs); kernel convolution survives only as a test oracle.  Central
@@ -437,7 +438,7 @@ def dirichlet_closed(N, theta) -> np.ndarray | float:
     )
 
 
-def lebesgue_constant(n: int) -> float:
+def lebesgue_constant(n) -> np.ndarray | float:
     """(1/pi) int_0^pi |D_{n+1}(t)| dt, D_{n+1}(t) = sin(M t/2) / sin(t/2), M = 2n+3.
 
     Fejer's closed form 1/M + (2/pi) sum_{k=1}^{n+1} tan(k pi/M) / k (L. Fejer,
@@ -445,16 +446,36 @@ def lebesgue_constant(n: int) -> float:
     cot((M - 2k) pi / (2M)): that argument is small and rounds relatively,
     while tan's own argument there lies near pi/2, where its rounding is
     amplified up to M times.  The positive terms are added pairwise.
+
+    ``n`` is one degree, or a 1-D array of degrees that gives one value each,
+    bitwise the call with its own degree: the terms of consecutive degrees
+    share one ragged array of at most ``_RUN_ENTRIES`` entries (a larger
+    degree runs alone), and each degree's terms are summed over its own
+    slice.  Every degree is checked before any term is formed.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    M = 2 * n + 3
-    k = np.arange(1, n + 2)
-    near = M // 4  # k > near <=> 4k > M, as M is odd
-    tan = np.empty(n + 1)
-    tan[:near] = np.tan(k[:near] * np.pi / M)
-    tan[near:] = 1 / np.tan((M - 2 * k[near:]) * np.pi / (2 * M))
-    return float(1 / M + 2 / np.pi * np.sum(tan / k))
+    ns = np.asarray(n)
+    if np.any(ns < 0):
+        raise ValueError(f"n must be >= 0, got {ns[ns < 0].flat[0]}")
+    flat = ns.reshape(-1)
+    sums = []
+    for items, first, k in _ragged_runs(flat + 1, float):
+        part = flat[items]
+        k += 1
+        half = np.repeat(part + 1.5, part + 1)  # M/2, exact in floats
+        term = half - k
+        far = term < k  # 4k > M
+        np.minimum(term, k, out=term)
+        # (M/2 - k) (pi/2) / (M/2) rounds as (M - 2k) pi/(2M), and k (pi/2) / (M/2)
+        # as k pi/M: halving and doubling are exact
+        term *= np.pi / 2
+        term /= half
+        np.tan(term, out=term)
+        np.divide(1, term, out=term, where=far)
+        term /= k
+        ends = (first + part + 1).tolist()
+        sums += [np.add.reduce(term[a:b]) for a, b in zip(first.tolist(), ends)]
+    out = 1 / (2 * flat + 3) + 2 / np.pi * np.array(sums)
+    return out.reshape(ns.shape) if ns.ndim else float(out[0])
 
 
 # --------------------------------------------------------------------------
@@ -725,6 +746,43 @@ def matrix_coeffs(f, n_max, rule: QuadratureRule) -> list:
     return out[0] if callable(f) else out
 
 
+def _runs(sizes, cap) -> list:
+    """Consecutive runs of items, as slices, whose sizes total at most ``cap``;
+    an item larger than ``cap`` runs alone."""
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > cap and i > start:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        runs.append(slice(start, len(sizes)))
+    return runs
+
+
+_RUN_ENTRIES = 2**12  # entries of one ragged run: its temporaries stay near 100 kB
+
+
+def _ragged_runs(sizes, dtype=np.int64):
+    """(items, first, j) for each run of ``_runs(sizes, _RUN_ENTRIES)``.
+
+    A run lays its items out as one ragged array of sizes[i] entries for
+    item i: ``items`` is the run's slice of the items, ``first`` each item's
+    first entry, and ``j`` each entry's index within its item, of ``dtype``
+    (a new array the caller may overwrite).  The batch forms of
+    ``lebesgue_constant`` and ``divergence.verify_chain`` evaluate each run
+    in one set of NumPy calls.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    for items in _runs(sizes.tolist(), _RUN_ENTRIES):
+        s = sizes[items]
+        first = np.cumsum(s) - s
+        j = np.arange(first[-1] + s[-1], dtype=dtype)
+        if len(s) > 1:  # one item's entries are their own indices
+            j -= np.repeat(first, s)
+        yield items, first, j
+
+
 def _store_runs(bounds) -> list:
     """Consecutive runs of bounds, as slices, for one ``matrix_coeffs`` batch each.
 
@@ -736,16 +794,7 @@ def _store_runs(bounds) -> list:
     Its one caller, ``partial_sum_general``, sets every batch's memory cap here.
     """
     sizes = [(n + 1) ** 2 + n**2 for n in bounds]
-    cap = 2 * max(sizes, default=0)
-    runs, start, total = [], 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > cap:
-            runs.append(slice(start, i))
-            start, total = i, 0
-        total += size
-    if start < len(sizes):
-        runs.append(slice(start, len(sizes)))
-    return runs
+    return _runs(sizes, 2 * max(sizes, default=0))
 
 
 def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:

@@ -1,8 +1,8 @@
 """Group samples, the Haar rule's flat weights, the Euler phase frequencies,
 the translate difference, quadrature coefficients, the gathered matrix
 coefficient transform, the per-n divergence rows, the classical Dirichlet
-kernel, the Gauss-cell split of the witness chain and the benchmark modules,
-shared by the test suites."""
+kernel, the Gauss-cell split of the witness chain, the per-n Lebesgue constant
+and chain report, and the benchmark modules, shared by the test suites."""
 
 import importlib.util
 import sys
@@ -12,7 +12,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from su2fourier.divergence import (
+    ChainReport,
     DivergenceRow,
+    _witness_moments,
+    holder_bound,
     partial_sum_at_identity,
     sawtooth,
     sawtooth_breakpoints,
@@ -161,6 +164,87 @@ def gauss_chain_split(n, nodes_per_cell=8):
     bounded = float(np.sum(ww * g * half**2 * kernel) / np.pi)
     oscillatory = float(np.sum(ww * g * h * half) * M / np.pi)
     return cells, oscillatory, bounded
+
+
+def lebesgue_per_n(n):
+    """Fejer's sum for one n on its own arrays.
+
+    The oracle beside the batch form of ``lebesgue_constant``: the same
+    terms, the tangent past pi/4 taken as a cotangent, summed pairwise.
+    """
+    M = 2 * n + 3
+    k = np.arange(1, n + 2)
+    near = M // 4  # k > near <=> 4k > M, as M is odd
+    tan = np.empty(n + 1)
+    tan[:near] = np.tan(k[:near] * np.pi / M)
+    tan[near:] = 1 / np.tan((M - 2 * k[near:]) * np.pi / (2 * M))
+    return float(1 / M + 2 / np.pi * np.sum(tan / k))
+
+
+def chain_per_n(n, alpha=0.5):
+    """The ``ChainReport`` of one n, formed on its own arrays.
+
+    The oracle beside the batch form of ``verify_chain``: the same closed
+    forms, one n at a time, with ``lebesgue_per_n``.
+    """
+    M = 2 * n + 3
+    I = _witness_moments(n, n + 2)
+    e = np.arange(0, 2 * n + 5, 2)
+    e[-1] = M
+    m = np.array([[n + 1], [n + 2]])
+    angle = np.pi * ((m * e) % (2 * M)) / M
+    v = (-1.0) ** np.arange(n + 3)
+    v[-1] = 0.0
+    g_sin = v * np.sin(angle) / m
+    cos_t = np.cos(angle)
+    slope = -(M / np.pi) * v[:-1]
+    per_freq = g_sin[:, 1:] - g_sin[:, :-1] + slope * (cos_t[:, 1:] - cos_t[:, :-1]) / m**2
+    cell_vals = (per_freq[0] + per_freq[1]) / 2
+    lhs = cell_vals[: n + 1]
+    cos_k = np.cos(np.arange(1, n + 2) * np.pi / M)
+    rhs = (2 * np.pi / (3 * M)) * cos_k
+    intervals = np.stack([lhs, rhs, lhs - rhs], axis=1)
+    tail = float(cell_vals[n + 1])
+    cosine_sum = float(np.sum(cos_k))
+    D = float(1 / np.sin(np.pi / (2 * M)))
+    head = I[0] + 2 * np.sum(I[1 : n + 1])
+    bounded = float((head + 1.5 * I[n + 1] + 0.5 * I[n + 2]) / np.pi)
+    osc = float(M / (2 * np.pi) * (I[n + 1] + I[n + 2]))
+    final = (D - 1) / 3
+    floor = 2 * M / np.pi
+    leb = lebesgue_per_n(n)
+    return ChainReport(
+        n=n,
+        intervals=intervals,
+        tail_integral=tail,
+        cosine_sum=cosine_sum,
+        dirichlet_value=D,
+        identity_error=abs(cosine_sum - (D - 1) / 2),
+        summed_bound=float(np.sum(rhs)),
+        final_lower_bound=final,
+        dirichlet_floor=floor,
+        bounded_term=bounded,
+        oscillatory_term=osc,
+        value=bounded - osc,
+        lebesgue=leb,
+        lip_norm_bound=np.pi / M + float(holder_bound(n, alpha)),
+        margins={
+            "intervals": float(intervals[:, 2].min()),
+            "tail": tail,
+            "oscillatory_vs_final": osc - final,
+            "bounded_vs_lebesgue": leb - abs(bounded),
+            "dirichlet_floor": D - floor,
+        },
+    )
+
+
+def same_bits(a, b) -> bool:
+    """Whether two values, arrays or dicts of floats hold the same types and bits."""
+    if isinstance(a, dict):
+        return type(b) is dict and list(a) == list(b) and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def _normalized(q):

@@ -74,7 +74,7 @@ def test_chain_ok(tmp_path):
 def test_chain_false_margin_exits_one(tmp_path, capsys, monkeypatch):
     # every margin is a true inequality, so falsify one: with a Lebesgue
     # constant of 0, bounded_vs_lebesgue = -|bounded term| < 0
-    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: 0.0)
+    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: np.zeros(np.shape(n)))
     code, text = _run_to_file(tmp_path, "c2.csv", ["chain", "--n", "6..8"])
     assert code == 1
     assert all(l.endswith("false") for l in _payload_csv(text).splitlines()[1:])
@@ -478,6 +478,17 @@ def test_output_into_a_missing_directory_is_usage_error(where, tmp_path, monkeyp
     assert out == ""
     assert err.startswith("su2fourier: cannot write --output: ") and err.count("\n") == 1
     assert str(missing / "x.json") in err and not missing.exists()
+
+
+def test_output_into_a_missing_directory_fails_before_the_handler(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "lebesgue_constant", lambda n: calls.append(n))
+    output = tmp_path / "missing" / "x.json"
+    assert run(["lebesgue", "--format", "json", "--output", str(output)]) == 2
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("su2fourier: cannot write --output: ")
+    assert str(output) in err and err.count("\n") == 1
 
 
 def test_outdir_env(tmp_path, monkeypatch):

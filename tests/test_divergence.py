@@ -5,8 +5,9 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from su2fourier import divergence
+from su2fourier import divergence, fourier
 from su2fourier.group import GroupElement, haar_grid, random_elements
 from su2fourier.fourier import (
     _pl_norm_sq,
@@ -25,7 +26,13 @@ from su2fourier.divergence import (
     verify_chain,
 )
 
-from helpers import classical_dirichlet, divergence_rows, gauss_chain_split
+from helpers import (
+    chain_per_n,
+    classical_dirichlet,
+    divergence_rows,
+    gauss_chain_split,
+    same_bits,
+)
 from holder_quotients import holder_quotient_estimate
 
 
@@ -359,7 +366,7 @@ def test_chain_all_margins(n):
 def test_chain_false_margin_reports_not_raises(monkeypatch):
     # a Lebesgue constant of 0 falsifies bounded_vs_lebesgue; the report
     # carries the negative margin instead of raising
-    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: 0.0)
+    monkeypatch.setattr(divergence, "lebesgue_constant", lambda n: np.zeros(np.shape(n)))
     rep = verify_chain(8)
     assert rep.margins["bounded_vs_lebesgue"] == -abs(rep.bounded_term) < 0
     assert rep.min_margin == rep.margins["bounded_vs_lebesgue"]
@@ -373,6 +380,78 @@ def test_chain_holder_exponent_must_lie_in_unit_interval():
     for alpha in (0.0, -1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="alpha must lie in"):
             verify_chain(2, alpha=alpha)
+
+
+# ---------------------------------------------------------------- the batch form
+
+def _same_report(got, want):
+    fields = [f for f in want.__dataclass_fields__ if not same_bits(getattr(got, f), getattr(want, f))]
+    assert fields == [], (want.n, fields)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ns=st.lists(st.integers(2, 300), min_size=1, max_size=60),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_chain_batch_is_bitwise_the_per_n_oracle(ns, alpha):
+    # unsorted, with repeats; 60 values of n up to 300 hold up to 18 180
+    # entries, so a list often spans several runs of 4096
+    reports = verify_chain(ns, alpha)
+    assert type(reports) is list and len(reports) == len(ns)
+    for n, rep in zip(ns, reports):
+        _same_report(rep, chain_per_n(n, alpha))
+
+
+def test_chain_batch_runs_every_n_of_2_to_1024_and_the_large_ones_bitwise():
+    # a large n runs alone, and the small ones around it still share runs
+    ns = list(range(2, 1025)) + [64, 2, 4096, 65536, 70000, 3]
+    reports = verify_chain(ns)
+    assert [r.n for r in reports] == ns
+    for n, rep in zip(ns, reports):
+        _same_report(rep, chain_per_n(n))
+    _same_report(verify_chain(65536), chain_per_n(65536))
+
+
+def test_chain_batch_of_one_n_and_of_none():
+    assert isinstance(verify_chain(5), divergence.ChainReport)
+    assert [r.n for r in verify_chain([5])] == [5]
+    assert verify_chain(range(2, 2)) == []
+
+
+def _working_memory(call):
+    # the peak less what the result still holds: every report keeps its
+    # intervals, about 108 MB for n = 2..2999, whichever way they were formed
+    tracemalloc.start()
+    try:
+        out = call()
+        current, peak = tracemalloc.get_traced_memory()
+        del out
+        return peak - current
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_batch_memory_stays_near_one_run():
+    full_run = [fourier._RUN_ENTRIES // 4 - 3] * 4  # n + 3 entries each
+    largest = max(
+        _working_memory(lambda: verify_chain(2999)), _working_memory(lambda: verify_chain(full_run))
+    )
+    assert _working_memory(lambda: verify_chain(range(2, 3000))) <= 2 * largest
+
+
+@pytest.mark.parametrize("ns", [[5, 8, 1, 9], [4, -3], [0]])
+def test_chain_batch_checks_every_n_before_any_work(ns, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("arrays built before the checks")
+
+    monkeypatch.setattr(divergence, "_ragged_runs", boom)
+    monkeypatch.setattr(divergence, "lebesgue_constant", boom)
+    bad = next(n for n in ns if n < 2)
+    with pytest.raises(ValueError, match=f"sawtooth witnesses need n >= 2, got {bad}$"):
+        verify_chain(ns)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        verify_chain([5, 8], alpha=1.5)
 
 
 # ---------------------------------------------------------------- growth and tables

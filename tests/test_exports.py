@@ -69,6 +69,9 @@ _PRIVATE_IMPORTS = {
     ("convergence", "fourier", "_coeffs_from_cos_moments"),
     ("convergence", "fourier", "_translate_norms"),
     ("divergence", "fourier", "_coeffs_from_cos_moments"),
+    # one run cut and ragged layout for the batch forms of lebesgue_constant
+    # and verify_chain, so both bound their temporaries by one cap
+    ("divergence", "fourier", "_ragged_runs"),
 }
 
 

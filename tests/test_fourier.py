@@ -49,6 +49,7 @@ from helpers import (
     elements,
     gather_matrix_coeffs,
     haar_weights,
+    lebesgue_per_n,
     quadrature_coeffs,
     random_element,
 )
@@ -919,6 +920,27 @@ def test_lebesgue_never_evaluates_the_pole_fallback(monkeypatch):
     for name in ("pole_safe", "char_table", "dirichlet_direct", "dirichlet_closed"):
         monkeypatch.setattr(fourier, name, boom)
     assert lebesgue_constant(10**5) == pytest.approx(_lebesgue_fejer(10**5), rel=1e-14)
+
+
+def test_lebesgue_batch_is_bitwise_its_per_n_calls():
+    # n = 0..40 put the tan/cot switch at every k = M // 4 from 0 to 20, and
+    # n = 10^5 (100 001 terms) runs alone after a run of the small ones
+    ns = [17, 3, 100_000, 3, 0, *range(41), 1000, 4093, 4094, 4095, 5]
+    got = lebesgue_constant(np.array(ns))
+    assert got.shape == (len(ns),) and got.dtype == np.float64
+    for n, value in zip(ns, got.tolist()):
+        assert value == lebesgue_per_n(n) == lebesgue_constant(n), n
+    assert type(lebesgue_constant(7)) is float
+    assert lebesgue_constant(np.array([], dtype=int)).shape == (0,)
+
+
+def test_lebesgue_batch_checks_every_n_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("terms formed before the checks")
+
+    monkeypatch.setattr(fourier, "_ragged_runs", boom)
+    with pytest.raises(ValueError, match="must be >= 0, got -2$"):
+        lebesgue_constant([3, 10, -2, 5])
 
 
 def test_lebesgue_gap_trend():
