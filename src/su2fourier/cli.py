@@ -412,8 +412,7 @@ def run(argv) -> int:
         return 2
     try:
         rows, failures = args.handler(args)
-    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
-        # OverflowError: a size beyond int64, which the batch forms store n in
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"su2fourier: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size too large to allocate is a usage error too

@@ -29,9 +29,9 @@ one generator, and streams the beta slabs of the Haar rule through
 f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
 Translates compose, so for f = L_z g with g central that is one class-angle
 pass of (z h^{-1}) y per direction, read from two real planes, with no group
-product and no element arrays on the grid.  The slabs may run on several
-threads; ``fourier._each_run`` says when, and why every modulus is bitwise
-the same for any CPU count.
+product and no element arrays on the grid.  The slabs may run on the
+threads of a thread pool made for one call; ``fourier._each_run`` says when,
+and why every modulus is bitwise the same for any CPU count.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 
@@ -50,7 +50,9 @@ from math import factorial, gamma, pi, sin, sqrt
 import numpy as np
 
 from .group import GroupElement, QuadratureRule, exp_arrays, random_directions
-from .fourier import CentralFn, _coeffs_from_cos_moments, _translate_norms, partial_sum_central
+from .fourier import (
+    MAX_COEFFS, CentralFn, _coeffs_from_cos_moments, _translate_norms, partial_sum_central,
+)
 
 __all__ = [
     "translate_norm_quadrature",
@@ -262,6 +264,8 @@ def jackson_ratio(f: CentralFn, k: int) -> JacksonPoint:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k >= (MAX_COEFFS - 1).bit_length():  # 2^k >= MAX_COEFFS, read off k: 2^k may be huge
+        raise ValueError(f"k = {k} needs 2^k + 1 > MAX_COEFFS = {MAX_COEFFS} coefficients")
     e_val = best_approx(f, 2**k)
     omega = integral_modulus(f, 2.0**-k)
     if omega == 0.0:

@@ -97,6 +97,7 @@ import numpy as np
 from .group import GroupElement, QuadratureRule
 from .fourier import (
     CentralFn,
+    _MAX_N,
     _coeffs_from_cos_moments,
     _ragged_runs,
     left_translate,
@@ -121,9 +122,11 @@ CHAIN_MARGIN_TOL = 1e-8  # how far below 0 a margin may round and still count as
 
 
 def _period(n: int) -> int:
-    """M = 2n + 3, whose (2 pi/M)-grid holds the breakpoints; requires n >= 2."""
+    """M = 2n + 3, whose (2 pi/M)-grid holds the breakpoints; requires 2 <= n < _MAX_N."""
     if n < 2:
         raise ValueError("sawtooth witnesses need n >= 2")
+    if n >= _MAX_N:
+        raise ValueError(f"n = {n} is too large: sawtooth witnesses need n < {_MAX_N}")
     return 2 * n + 3
 
 
@@ -325,6 +328,8 @@ def verify_chain(n, alpha: float = 0.5):
     for nn in ns:
         if nn < 2:
             raise ValueError(f"sawtooth witnesses need n >= 2, got {nn}")
+        if nn >= _MAX_N:
+            raise ValueError(f"n = {nn} is too large: sawtooth witnesses need n < {_MAX_N}")
     reports = []
     for items, first, j in _ragged_runs([nn + 3 for nn in ns]):
         # entry j = 0..n+2 of each n holds I_j, the breakpoint e_j and cos((j+1) pi/M)

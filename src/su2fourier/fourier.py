@@ -28,8 +28,8 @@ two real (alpha, gamma) planes built once per call, and the functions of a
 batch translated by one z read one read-only class angle per slab.  A real
 slab enters the gamma transform as one real matrix product against the
 interleaved real and imaginary parts of the transform matrix.  The slabs of
-that two-plane path may run on several threads; ``_each_run`` says when, and
-why results do not depend on it.
+that two-plane path may run on the threads of a thread pool made for one
+call; ``_each_run`` says when, and why results do not depend on it.
 Translates compose (L_g L_z f = L_{z g} f), so a translate of a translate
 is evaluated as one.
 
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -105,6 +104,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 MAX_COEFFS = 2**22  # a closed form this long takes up to about 1 s and 300 MB
+_MAX_N = 2**59  # n below this keeps 2n + 3 and the bytes of n + 3 floats within int64
 
 
 @dataclass
@@ -453,9 +453,11 @@ def lebesgue_constant(n) -> np.ndarray | float:
     degree runs alone), and each degree's terms are summed over its own
     slice.  Every degree is checked before any term is formed.
     """
-    ns = np.asarray(n)
+    ns = np.asarray(n)  # an object array if some n is beyond int64
     if np.any(ns < 0):
         raise ValueError(f"n must be >= 0, got {ns[ns < 0].flat[0]}")
+    if np.any(ns >= _MAX_N):
+        raise ValueError(f"n must be < {_MAX_N}, got {ns[ns >= _MAX_N].flat[0]}")
     flat = ns.reshape(-1)
     sums = []
     for items, first, k in _ragged_runs(flat + 1, float):
@@ -534,44 +536,38 @@ def _each_run(work, count: int, split: bool) -> None:
     that anything wrapped around package functions sees one thread.  With
     ``split`` true and ``_CPUS`` above one (every usable CPU when BLAS runs
     on one thread, else one: see ``_split_cpus``), range(count) is cut into
-    min(_CPUS, count) contiguous runs: the calling thread takes the first
-    run and one short-lived thread each of the others, and all are joined
-    before this returns.  If any run raised, the
-    exception of the lowest-numbered failing run is raised here.  Otherwise
-    the calling thread does work(range(count)).
+    min(_CPUS, count) contiguous runs (``np.array_split``): the calling
+    thread takes the first run, and a ``ThreadPoolExecutor`` made for this
+    call, with one worker fewer than there are runs, takes the others.
+    Leaving its ``with`` block shuts it down and joins every worker, also
+    when the first run raises, so no thread outlives the call.  If the first
+    run raised, that exception is raised here; otherwise the workers' results
+    are read in run order, so the exception of the lowest-numbered failing
+    run is raised (a worker keeps whatever ``work`` raised, BaseException
+    included).  Otherwise the calling thread does work(range(count)).
 
     ``work`` writes its own slots of a preallocated result, one per beta
     slab, and the callers sum over beta after the join, on the calling
     thread in beta order, so results are bitwise the same for any CPU count.
     One call starts at most one thread per CPU, whatever ``work`` loops
     over: each thread start may give the new thread a fresh malloc arena.
+    The executor is imported here, not with the module, so ``import
+    su2fourier`` (the benchmark's ``setup_s``) and every call that does not
+    split never load ``concurrent.futures`` and the ``logging`` it imports;
+    the first split call of a process pays that import once.
     """
     runs = min(_CPUS, count) if split else 1
     if runs <= 1:
         work(range(count))
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     parts = [range(p[0], p[-1] + 1) for p in np.array_split(np.arange(count), runs)]
-    errors = [None] * runs
-
-    def run(i):
-        try:
-            work(parts[i])
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, runs):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    with ThreadPoolExecutor(runs - 1) as pool:
+        futures = [pool.submit(work, part) for part in parts[1:]]
+        work(parts[0])
+    for future in futures:
+        future.result()
 
 
 def _euler_slabs(fs, planes):
@@ -599,8 +595,8 @@ def _euler_slabs(fs, planes):
     on the two-plane path and none is band-limited.
     """
     cb, sb, phase_sum, phase_dif = planes
-    zs, planes_of = [], []  # the distinct translations and their (P, Q)
-    evals = []  # (profile, index into zs) on the two-plane path, else (ib -> values, None)
+    planes_of = {}  # each distinct translation z and its (P, Q)
+    evals = []  # (profile, z) on the two-plane path, else (ib -> values, None)
     for f in fs:
         if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
             g, z = f.f, f.z
@@ -609,30 +605,29 @@ def _euler_slabs(fs, planes):
         else:  # only a general callable's evaluator holds the phase planes
             evals.append((lambda ib, f=f: f(cb[ib] * phase_sum, sb[ib] * phase_dif), None))
             continue
-        if z not in zs:
-            zs.append(z)
+        if z not in planes_of:
             P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
-            planes_of.append((P, -np.real(z.b * np.conj(phase_dif))))
-        evals.append((g, zs.index(z)))
+            planes_of[z] = P, -np.real(z.b * np.conj(phase_dif))
+        evals.append((g, z))
 
     def slab(ib):
-        angles = [None] * len(zs)  # the slab's class angle per translation
-        for g, j in evals:
-            if j is None:
+        angles = {}  # the slab's class angle per translation
+        for g, z in evals:
+            if z is None:
                 yield np.asarray(g(ib))
                 continue
-            if angles[j] is None:
+            if z not in angles:
                 # conj_angle_arrays of cos(beta/2) P + sin(beta/2) Q, in place, so
                 # each of the concurrent slabs holds one temporary per distinct z
-                P, Q = planes_of[j]
+                P, Q = planes_of[z]
                 x = cb[ib] * P
                 x += sb[ib] * Q
                 np.clip(x, -1.0, 1.0, out=x)
-                angles[j] = np.arccos(x, out=x)
+                angles[z] = np.arccos(x, out=x)
                 x.flags.writeable = False
-            yield np.asarray(g.fn(angles[j]))
+            yield np.asarray(g.fn(angles[z]))
 
-    return slab, all(j is not None and g.band_coeffs is None for g, j in evals)
+    return slab, all(z is not None and g.band_coeffs is None for g, z in evals)
 
 
 def _batch(f, n_max):
@@ -826,13 +821,7 @@ def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
 
     _each_run(fill, len(rule.beta), split)
     per_slab = len(rule.alpha) * len(rule.gamma)
-    norms = []
-    for row in terms:
-        sq = 0.0
-        for term in row:
-            sq += term
-        norms.append(float(np.sqrt(sq / per_slab)))
-    return norms
+    return np.sqrt(np.cumsum(terms, axis=1)[:, -1] / per_slab).tolist()
 
 
 def partial_sum_general(f, N, mode: str, x: GroupElement, rule: QuadratureRule):

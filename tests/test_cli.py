@@ -275,9 +275,9 @@ def test_kernel_check_accepts_the_whole_exclude_range(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["jackson", "--k", "40"], ["rm-sum", "--j", "1000000000000"],
-     ["partial-sum", "--n", "1000000000000"]],
-    ids=["jackson", "rm-sum", "partial-sum"],
+    [["jackson", "--k", "40"], ["jackson", "--k", "1000000"],
+     ["rm-sum", "--j", "1000000000000"], ["partial-sum", "--n", "1000000000000"]],
+    ids=["jackson", "jackson-huge-k", "rm-sum", "partial-sum"],
 )
 def test_coefficient_count_past_the_cap_is_a_usage_error(argv, capsys):
     # CentralFn.coeffs refuses before it allocates, so the refusal is quick
@@ -316,6 +316,15 @@ def test_size_too_large_to_allocate_is_a_usage_error(argv, capsys):
         assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("su2fourier: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lebesgue", "chain", "diverge"])
+def test_size_beyond_int64_is_a_usage_error_naming_it(command, capsys):
+    # refused on the value itself, before NumPy would convert it or size an array
+    assert run([command, "--n", "100000000000000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("su2fourier: ") and err.count("\n") == 1
+    assert "100000000000000000000" in err
 
 
 @pytest.mark.parametrize(

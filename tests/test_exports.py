@@ -72,6 +72,9 @@ _PRIVATE_IMPORTS = {
     # one run cut and ragged layout for the batch forms of lebesgue_constant
     # and verify_chain, so both bound their temporaries by one cap
     ("divergence", "fourier", "_ragged_runs"),
+    # one range check for n before any int64 array, for lebesgue_constant and
+    # the witnesses
+    ("divergence", "fourier", "_MAX_N"),
 }
 
 

@@ -291,7 +291,7 @@ def test_one_thread_start_per_modulus_call(monkeypatch):
             starts.append(self)
             super().start()
 
-    monkeypatch.setattr(fourier.threading, "Thread", CountingThread)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     integral_modulus(left_translate(sawtooth(5), Z), 0.3, sample_count=4, rule=RULE)
     assert len(starts) == 1
 
@@ -311,7 +311,7 @@ def test_one_thread_start_and_one_planes_call_per_divergence_point(monkeypatch):
         planes.append(rule)
         return build(rule)
 
-    monkeypatch.setattr(fourier.threading, "Thread", CountingThread)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     monkeypatch.setattr(QuadratureRule, "planes", counting_planes)
     rows = divergence_table([Z, Z2], [4, 8, 16], RULE)
     assert len(rows) == 6
@@ -395,16 +395,19 @@ def test_profile_raising_on_a_helper_thread_propagates(monkeypatch):
 
 def test_each_run_raises_the_lowest_failing_run(monkeypatch):
     monkeypatch.setattr(fourier, "_CPUS", 3)  # runs [0..3], [4..7], [8..10]
+    # runs 1 and 2 fail; then runs 0 and 2, where the calling thread's own
+    # exception leaves while the pool still joins run 2
+    for failing, first in [((5, 9), 5), ((2, 9), 2)]:
 
-    def work(run):
-        for ib in run:
-            if ib in (5, 9):
-                raise ValueError(f"slab {ib}")
+        def work(run):
+            for ib in run:
+                if ib in failing:
+                    raise ValueError(f"slab {ib}")
 
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="slab 5"):
-        fourier._each_run(work, 11, True)
-    assert threading.active_count() == before
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"slab {first}$"):
+            fourier._each_run(work, 11, True)
+        assert threading.active_count() == before
 
 
 USABLE = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -506,3 +509,25 @@ def test_import_starts_no_thread_and_no_executor():
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
     ).stdout.split()
     assert out == ["1", "False"]
+
+
+def test_only_a_split_call_loads_the_executor():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(su2fourier.__file__)))
+    code = (
+        "import sys, threading\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from su2fourier import fourier, group\n"
+        "from su2fourier.divergence import sawtooth\n"
+        "rule = group.haar_grid(2)\n"
+        "fourier._CPUS = 2\n"
+        "fourier.matrix_coeffs(lambda a, b: np.real(a * b), 2, rule)\n"  # never splits
+        "print('concurrent.futures' in sys.modules)\n"
+        "before = threading.active_count()\n"
+        "fourier.matrix_coeffs(sawtooth(5), 2, rule)\n"  # splits across two runs
+        "print('concurrent.futures' in sys.modules, threading.active_count() == before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["False", "True", "True"]
