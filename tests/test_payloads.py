@@ -39,6 +39,7 @@ COMMANDS = {  # golden file stem: argv
     "rm-sum": ["rm-sum"],
     "uniform-central": ["uniform-central"],
     "chain-n2..256": ["chain", "--n", "2..256"],
+    "partial-sum-holder0.5-n512": ["partial-sum", "--fn", "holder:0.5", "--n", "512"],
 }
 DIGESTED = {"chain-n2..256"}  # about 100 kB each: kept as a digest
 
