@@ -74,9 +74,20 @@ def parse_int_list(text: str) -> list[int]:
     return _nonempty([int(p) for p in text.split(",") if p], text)
 
 
-def parse_count(text: str) -> int:
-    """A count of points or nodes; one below 1 is a usage error."""
+_INT64 = np.iinfo(np.int64)
+
+
+def parse_int(text: str) -> int:
+    """An integer flag; one beyond int64, where NumPy sizes end, is a usage error."""
     value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise argparse.ArgumentTypeError(f"{value} is beyond int64")
+    return value
+
+
+def parse_count(text: str) -> int:
+    """A count of points or nodes; one below 1 or beyond int64 is a usage error."""
+    value = parse_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {value}")
     return value
@@ -135,6 +146,8 @@ def parse_points(spec: str, seed: int) -> list[GroupElement]:
     if kind == "random":
         if not arg.isdigit() or int(arg) < 1:
             raise argparse.ArgumentTypeError(f"points spec {spec!r} needs a count K >= 1")
+        if int(arg) > _INT64.max:
+            raise argparse.ArgumentTypeError(f"points spec {spec!r} has a count K beyond int64")
         rng = np.random.default_rng(seed)
         a, b = random_elements(rng, int(arg))
         return [GroupElement(complex(x), complex(y)) for x, y in zip(a, b)]
@@ -339,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("kernel-check", help="direct vs closed Dirichlet kernel")
-    sp.add_argument("--n-max", type=int, default=200)
+    sp.add_argument("--n-max", type=parse_int, default=200)
     sp.add_argument("--grid", type=parse_count, default=2000)
     sp.add_argument("--exclude", type=float, default=1e-3)
     common(sp, _cmd_kernel_check)
@@ -356,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diverge", help="translated witnesses: general vs central path")
     sp.add_argument("--points", default="random:3")
     sp.add_argument("--n", type=parse_int_list, default=[4, 8, 16])
-    sp.add_argument("--order", type=int, default=128)
+    sp.add_argument("--order", type=parse_int, default=128)
     common(sp, _cmd_diverge)
 
     sp = sub.add_parser("partial-sum", help="partial sum of a central function on a grid")
@@ -370,14 +383,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", default="sawtooth:5")
     sp.add_argument("--t-min", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=1.0)
-    sp.add_argument("--per-decade", type=int, default=16)
+    sp.add_argument("--per-decade", type=parse_int, default=16)
     common(sp, _cmd_modulus)
 
     sp = sub.add_parser("dini", help="Dini integral of the squared modulus")
     sp.add_argument("--fn", default="holder:0.5")
     sp.add_argument("--t-min-list", type=parse_float_list, default=[1e-2, 1e-3, 1e-4])
     sp.add_argument("--t-max", type=float, default=1.0)
-    sp.add_argument("--per-decade", type=int, default=16)
+    sp.add_argument("--per-decade", type=parse_int, default=16)
     common(sp, _cmd_dini)
 
     sp = sub.add_parser("jackson", help="best approximation over modulus quotients")

@@ -362,8 +362,12 @@ def _holder_coeffs(alpha: float, n_max: int) -> np.ndarray:
 def holder_test_function(alpha: float) -> CentralFn:
     """A |cos theta|^alpha, A = _HOLDER_AMPLITUDE: an alpha-Hoelder class function.
 
-    The cusp at theta = pi/2 makes the coefficients decay like n^{-(1+alpha)}
-    (even n only, by symmetry); they come in closed form (``_holder_coeffs``).
+    Its profile is A |x|^alpha of x = cos theta (``CentralFn.on_cos``), so
+    the Euler slabs hand it the cosine they form and take no arccos for it;
+    called with angles it is bitwise A * np.abs(np.cos(theta)) ** alpha.
+    The cusp at theta = pi/2 makes the coefficients decay like
+    n^{-(1+alpha)} (even n only, by symmetry); they come in closed form
+    (``_holder_coeffs``).
     The squared norm is exact:
     A^2 * Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 2)).
     """
@@ -371,11 +375,12 @@ def holder_test_function(alpha: float) -> CentralFn:
         raise ValueError("alpha must lie in (0, 1)")
     nsq = _HOLDER_AMPLITUDE**2 * gamma(alpha + 0.5) / (sqrt(pi) * gamma(alpha + 2.0))
     return CentralFn(
-        fn=lambda th: _HOLDER_AMPLITUDE * np.abs(np.cos(th)) ** alpha,
+        fn=lambda x: _HOLDER_AMPLITUDE * np.abs(x) ** alpha,
         name=f"holder:{alpha}",
         cusps=(np.pi / 2,),
         norm_sq=nsq,
         closed_form=partial(_holder_coeffs, alpha),
+        on_cos=True,
     )
 
 

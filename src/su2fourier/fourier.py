@@ -23,9 +23,12 @@ function or a batch, whose functions share one pass over the slabs and one
 representation walk; it keeps of each slab's (alpha, gamma) transform only
 the frequency pairs of equal parity, the only ones a degree reads, and sums
 each degree over beta from views.  A central f, or a left translate of one,
-reads Re of the a-entry on each slab as cos(beta/2) P + sin(beta/2) Q from
-two real (alpha, gamma) planes built once per call, and the functions of a
-batch translated by one z read one read-only class angle per slab.  A real
+reads Re of the a-entry on each slab as x = cos(beta/2) P + sin(beta/2) Q
+from two real (alpha, gamma) planes built once per call, and the functions
+of a batch translated by one z read one read-only x, clipped to [-1, 1],
+per slab: a profile of the cosine (``CentralFn.on_cos``) reads x itself,
+any other the class angle arccos(x), formed only if such a profile reads
+that z.  A real
 slab enters the gamma transform as one real matrix product against the
 interleaved real and imaginary parts of the transform matrix.  The slabs of
 that two-plane path may run on the threads of a thread pool made for one
@@ -111,6 +114,11 @@ _MAX_N = 2**59  # n below this keeps 2n + 3 and the bytes of n + 3 floats within
 class CentralFn:
     """A class function on SU(2), given by its profile on theta in [0, pi].
 
+    ``on_cos`` marks a profile of x = cos theta in [-1, 1] rather than of
+    theta: calls with an angle pass it cos theta, and the group evaluators
+    pass it Re(a) clipped to [-1, 1] without forming an angle.  It is a fact
+    of the profile's formula, set by its constructor.
+
     Its coefficients and squared L^2 norm are exact: ``band_coeffs`` marks an
     exactly band-limited function given by its chi-coefficients; otherwise
     ``closed_form`` maps n_max to the coefficients c_0..c_{n_max} in closed
@@ -118,11 +126,11 @@ class CentralFn:
     set them and store their arrays read-only.  ``cusps`` lists interior
     angles where the profile is continuous but not smooth, where graded
     quadrature rules put panel edges.  ``fn`` must not write to its
-    argument: on the Euler rule it reads a read-only class angle that other
-    functions of a batch may share (see ``_euler_slabs``).  It must be safe
-    to call from several threads at once, unless the function is
-    band-limited: the beta slabs may evaluate it concurrently (see
-    ``_each_run``).
+    argument: on the Euler rule it reads a read-only class angle, or its
+    cosine, that other functions of a batch may share (see
+    ``_euler_slabs``).  It must be safe to call from several threads at
+    once, unless the function is band-limited: the beta slabs may evaluate
+    it concurrently (see ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -131,13 +139,17 @@ class CentralFn:
     cusps: tuple = ()
     norm_sq: Optional[float] = None
     closed_form: Optional[Callable[[int], np.ndarray]] = None
+    on_cos: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, theta):
-        return self.fn(np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        return self.fn(np.cos(theta) if self.on_cos else theta)
 
     def on_group(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Evaluate at group elements given as (a, b) arrays."""
+        if self.on_cos:  # cos of the class angle is Re(a), up to rounding past +-1
+            return self.fn(np.clip(np.real(a), -1.0, 1.0))
         return self.fn(conj_angle_arrays(a, b))
 
     def _not_exact(self, what: str) -> NotImplementedError:
@@ -213,14 +225,16 @@ def char_fn(n: int) -> CentralFn:
 
 
 def const_fn(value: float = 1.0) -> CentralFn:
+    """The constant ``value``; its profile reads x = cos theta, so no slab forms an angle for it."""
     if not np.isfinite(value):
         raise ValueError(f"constant value must be finite, got {value!r}")
     coeffs = _read_only([value])
     return CentralFn(
-        fn=lambda th: np.full_like(np.asarray(th, dtype=float), value),
+        fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         name=f"const:{value}",
         band_coeffs=coeffs,
         norm_sq=_band_norm_sq(coeffs),
+        on_cos=True,
     )
 
 
@@ -584,18 +598,23 @@ def _euler_slabs(fs, planes):
     z y as cos(beta/2) P + sin(beta/2) Q with the two real (alpha, gamma)
     planes P = Re(z.a e^{i(alpha+gamma)/2}) and Q = -Re(z.b
     e^{-i(alpha-gamma)/2}), built once per call for each distinct z, so its
-    slabs form no complex (a, b) arrays.  Each slab computes the class angle
-    of each distinct z once, and every profile translated by that z reads
-    it.  That angle is read-only, for every reader in a batch and for a
-    single function alike, so a profile that writes to its argument raises
-    ValueError.  Any other callable gets the slab's own (a, b) arrays from
-    the Euler phases, scaled by cos(beta/2) and sin(beta/2).
+    slabs form no complex (a, b) arrays.  Each slab forms that x, clipped to
+    [-1, 1], once per distinct z, and then the class angle arccos(x) only if
+    some profile translated by z reads an angle: in place when none reads x
+    (``CentralFn.on_cos``), as a new array when both kinds do, and not at
+    all when every reader takes x.  A profile of x reads the clipped x
+    itself, never cos(arccos x).  Both arrays are read-only, for every
+    reader in a batch and for a single function alike, so a profile that
+    writes to its argument raises ValueError.  Any other callable gets the
+    slab's own (a, b) arrays from the Euler phases, scaled by cos(beta/2)
+    and sin(beta/2).
 
     ``split`` is the flag of ``_each_run``: true only if every function is
     on the two-plane path and none is band-limited.
     """
     cb, sb, phase_sum, phase_dif = planes
     planes_of = {}  # each distinct translation z and its (P, Q)
+    reads = {}  # each distinct translation z and its readers' on_cos values
     evals = []  # (profile, z) on the two-plane path, else (ib -> values, None)
     for f in fs:
         if isinstance(f, _Translate) and isinstance(f.f, CentralFn):
@@ -608,24 +627,31 @@ def _euler_slabs(fs, planes):
         if z not in planes_of:
             P = np.real(z.a * phase_sum).copy()  # contiguous, without the complex product
             planes_of[z] = P, -np.real(z.b * np.conj(phase_dif))
+            reads[z] = set()
+        reads[z].add(g.on_cos)
         evals.append((g, z))
 
     def slab(ib):
-        angles = {}  # the slab's class angle per translation
+        args = {}  # the slab's (class angle, its cosine) per translation
         for g, z in evals:
             if z is None:
                 yield np.asarray(g(ib))
                 continue
-            if z not in angles:
-                # conj_angle_arrays of cos(beta/2) P + sin(beta/2) Q, in place, so
-                # each of the concurrent slabs holds one temporary per distinct z
+            if z not in args:
+                # the clipped cos(beta/2) P + sin(beta/2) Q, and for an angle reader
+                # its arccos (conj_angle_arrays), in place unless a cosine profile
+                # reads x too: each concurrent slab holds one temporary per
+                # distinct z, two when both kinds of profile read it
                 P, Q = planes_of[z]
                 x = cb[ib] * P
                 x += sb[ib] * Q
                 np.clip(x, -1.0, 1.0, out=x)
-                angles[z] = np.arccos(x, out=x)
-                x.flags.writeable = False
-            yield np.asarray(g.fn(angles[z]))
+                theta = x
+                if False in reads[z]:
+                    theta = np.arccos(x, out=None if True in reads[z] else x)
+                x.flags.writeable = theta.flags.writeable = False
+                args[z] = theta, x
+            yield np.asarray(g.fn(args[z][g.on_cos]))
 
     return slab, all(z is not None and g.band_coeffs is None for g, z in evals)
 

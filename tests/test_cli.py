@@ -318,13 +318,43 @@ def test_size_too_large_to_allocate_is_a_usage_error(argv, capsys):
     assert out == "" and err.startswith("su2fourier: out of memory: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["lebesgue", "chain", "diverge"])
-def test_size_beyond_int64_is_a_usage_error_naming_it(command, capsys):
+_BEYOND_INT64 = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lebesgue", "--n", _BEYOND_INT64],
+        ["chain", "--n", _BEYOND_INT64],
+        ["diverge", "--n", _BEYOND_INT64],
+        ["diverge", "--points", "random:" + _BEYOND_INT64],
+        ["kernel-check", "--n-max", _BEYOND_INT64],
+        ["kernel-check", "--grid", _BEYOND_INT64],
+        ["partial-sum", "--grid", _BEYOND_INT64],
+        ["uniform-central", "--grid", _BEYOND_INT64],
+        ["diverge", "--order", _BEYOND_INT64],
+        ["modulus", "--per-decade", _BEYOND_INT64],
+        ["dini", "--per-decade", _BEYOND_INT64],
+    ],
+    ids=[
+        "lebesgue", "chain", "diverge", "diverge-points", "kernel-check-n-max",
+        "kernel-check-grid", "partial-sum-grid", "uniform-central-grid", "diverge-order",
+        "modulus-per-decade", "dini-per-decade",
+    ],
+)
+def test_size_beyond_int64_is_a_usage_error_naming_it(argv, capsys):
     # refused on the value itself, before NumPy would convert it or size an array
-    assert run([command, "--n", "100000000000000000000"]) == 2
+    command, flag, value = argv
+    assert run(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("su2fourier: ") and err.count("\n") == 1
-    assert "100000000000000000000" in err
+    assert out == ""
+    if flag in ("--n", "--points"):  # the list and the spec are checked by the handler
+        assert err.startswith("su2fourier: ") and err.count("\n") == 1
+        assert _BEYOND_INT64 in err
+    else:  # a scalar flag is refused by its argparse type, which names it
+        assert err.splitlines()[-1] == (
+            f"su2fourier {command}: error: argument {flag}: {value} is beyond int64"
+        )
 
 
 @pytest.mark.parametrize(

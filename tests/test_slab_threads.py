@@ -67,19 +67,24 @@ def _serial_and_split(monkeypatch, cpus, compute):
 
 
 def test_central_slab_is_the_class_angle_of_the_two_planes():
-    """The in-place slab keeps the rounding of conj_angle_arrays(cb P + sb Q)."""
+    """The in-place slab keeps the rounding of conj_angle_arrays(cb P + sb Q);
+    a profile of x = cos theta reads that sum, clipped, with no angle formed."""
     rule = haar_grid(24)
-    g = holder_test_function(0.5)
     al, ga = rule.alpha[:, None], rule.gamma[None, :]
     P = np.real(Z.a * np.exp(1j * ((al + ga) / 2)))
     Q = -np.real(Z.b * np.exp(-1j * ((al - ga) / 2)))
     cb, sb = np.cos(rule.beta / 2), np.sin(rule.beta / 2)
-    slab, split = fourier._euler_slabs([left_translate(g, Z)], rule.planes())
-    assert split
-    for ib in range(len(rule.beta)):
-        want = g.fn(conj_angle_arrays(cb[ib] * P + sb[ib] * Q, None))
-        [got] = slab(ib)
-        assert np.array_equal(got, want), ib
+    for g in (sawtooth(5), holder_test_function(0.5)):
+        slab, split = fourier._euler_slabs([left_translate(g, Z)], rule.planes())
+        assert split
+        for ib in range(len(rule.beta)):
+            x = cb[ib] * P + sb[ib] * Q
+            if g.on_cos:
+                want = g.fn(np.clip(x, -1.0, 1.0))
+            else:
+                want = g.fn(conj_angle_arrays(x, None))
+            [got] = slab(ib)
+            assert np.array_equal(got, want), (g.name, ib)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
@@ -98,27 +103,38 @@ def _complex_general(a, b):
 Z2 = GroupElement(*(complex(x[0]) for x in random_elements(np.random.default_rng(4), 1)))
 
 
-def _batch(mixed):
-    """Two translates by Z, one by Z2, an untranslated profile; when mixed, also a
-    band-limited translate and a complex general callable (the batch then runs
-    serially)."""
+def _batch(kind):
+    """central: two translates by Z (an angle profile, then a cosine profile),
+    one by Z2 and an untranslated profile.  mixed: also a band-limited
+    translate and a complex general callable (the batch then runs serially).
+    cosine: a cosine profile reads Z and the identity before an angle profile
+    does, and a cosine profile alone reads Z2."""
+    if kind == "cosine":
+        fs = [
+            left_translate(holder_test_function(0.5), Z),
+            left_translate(sawtooth(5), Z),
+            holder_test_function(0.3),
+            sawtooth(4),
+            left_translate(holder_test_function(0.7), Z2),
+        ]
+        return fs, [4, 3, 2, 0, 3]
     fs = [
         left_translate(sawtooth(5), Z),
         left_translate(holder_test_function(0.5), Z),
         left_translate(sawtooth(3), Z2),
         sawtooth(4),
     ]
-    if mixed:
+    if kind == "mixed":
         band = band_limited_fn(np.array([0.3, 0.2 + 0.1j, -0.4, 0.05j]))
         fs += [left_translate(band, Z2), _complex_general]
     return fs, [4, 3, 4, 0, 2, 5][: len(fs)]
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["central", "mixed"])
+@pytest.mark.parametrize("kind", ["central", "mixed", "cosine"])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
-def test_matrix_coeffs_batch_is_bitwise_the_single_calls(monkeypatch, cpus, mixed):
-    fs, bounds = _batch(mixed)
-    assert fourier._euler_slabs(fs, RULE.planes())[1] is not mixed
+def test_matrix_coeffs_batch_is_bitwise_the_single_calls(monkeypatch, cpus, kind):
+    fs, bounds = _batch(kind)
+    assert fourier._euler_slabs(fs, RULE.planes())[1] is (kind != "mixed")
     monkeypatch.setattr(fourier, "_CPUS", 1)
     singles = [matrix_coeffs(f, n, RULE) for f, n in zip(fs, bounds)]
     monkeypatch.setattr(fourier, "_CPUS", cpus)
@@ -203,11 +219,14 @@ def _traced_peak(fn, th):
 
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_family_profile_reads_a_read_only_angle_without_copying(family):
-    # every slab hands its profiles a read-only class angle, so a built-in
-    # profile must neither write to it nor copy it; from_breakpoints, whose
-    # np.interp copies a read-only argument, is the one documented exception
-    fn = _FAMILIES[family].fn
-    th = np.random.default_rng(5).uniform(0.0, np.pi, (136, 272))
+    # every slab hands its profiles a read-only class angle, or its cosine for
+    # a cosine profile, so a built-in profile must neither write to its
+    # variable nor copy it; from_breakpoints, whose np.interp copies a
+    # read-only argument, is the one documented exception
+    f = _FAMILIES[family]
+    fn = f.fn
+    lo, hi = (-1.0, 1.0) if f.on_cos else (0.0, np.pi)
+    th = np.random.default_rng(5).uniform(lo, hi, (136, 272))
     before = th.copy()
     read_only = th.view()
     read_only.flags.writeable = False
@@ -231,18 +250,19 @@ def test_batch_releases_each_value_array_before_the_next_function():
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
 def test_modulus_split_is_bitwise_the_serial_loop(monkeypatch, cpus):
-    f = left_translate(sawtooth(5), Z)
+    # an angle profile and a cosine profile, translated by one z
+    for f in (left_translate(sawtooth(5), Z), left_translate(holder_test_function(0.5), Z)):
 
-    def compute():
-        omega = integral_modulus(f, 0.3, sample_count=4, rule=RULE)
-        prof = modulus_profile(f, 0.1, 0.5, per_decade=4, sample_count=3, rule=RULE)
-        return omega, prof.omega_values
+        def compute():
+            omega = integral_modulus(f, 0.3, sample_count=4, rule=RULE)
+            prof = modulus_profile(f, 0.1, 0.5, per_decade=4, sample_count=3, rule=RULE)
+            return omega, prof.omega_values
 
-    (omega_serial, prof_serial), (omega_split, prof_split) = _serial_and_split(
-        monkeypatch, cpus, compute
-    )
-    assert omega_split == omega_serial
-    assert np.array_equal(prof_split, prof_serial)
+        (omega_serial, prof_serial), (omega_split, prof_split) = _serial_and_split(
+            monkeypatch, cpus, compute
+        )
+        assert omega_split == omega_serial
+        assert np.array_equal(prof_split, prof_serial)
 
 
 def _serial_translate_norms(f, hs, rule):
