@@ -225,7 +225,7 @@ def char_fn(n: int) -> CentralFn:
 
 
 def const_fn(value: float = 1.0) -> CentralFn:
-    """The constant ``value``; its profile reads x = cos theta, so no slab forms an angle for it."""
+    """The constant ``value``, a profile of x = cos theta: no slab forms an angle for it."""
     if not np.isfinite(value):
         raise ValueError(f"constant value must be finite, got {value!r}")
     coeffs = _read_only([value])
