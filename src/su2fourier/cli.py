@@ -40,6 +40,7 @@ from .fourier import (
 )
 from .divergence import divergence_table, sawtooth, verify_chain
 from .convergence import (
+    DEFAULT_COEFF_LIMIT,
     dini_integral,
     holder_test_function,
     jackson_ratio,
@@ -83,6 +84,25 @@ def parse_int(text: str) -> int:
     if not _INT64.min <= value <= _INT64.max:
         raise argparse.ArgumentTypeError(f"{value} is beyond int64")
     return value
+
+
+def parse_seed(text: str) -> int:
+    """A seed for NumPy's generator, which takes none below 0: a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _check_bytes(nbytes, **flags) -> None:
+    """Refuse flags whose largest array would take more bytes than int64 counts.
+
+    NumPy refuses such an array in words that name neither flag nor value.  A
+    smaller one that memory cannot hold stays a MemoryError ("out of memory").
+    """
+    if nbytes > _INT64.max:
+        named = " with ".join(f"--{k.replace('_', '-')} {v}" for k, v in flags.items())
+        raise ValueError(f"{named} would size an array of {nbytes:.3g} bytes, beyond int64")
 
 
 def parse_count(text: str) -> int:
@@ -146,8 +166,7 @@ def parse_points(spec: str, seed: int) -> list[GroupElement]:
     if kind == "random":
         if not arg.isdigit() or int(arg) < 1:
             raise argparse.ArgumentTypeError(f"points spec {spec!r} needs a count K >= 1")
-        if int(arg) > _INT64.max:
-            raise argparse.ArgumentTypeError(f"points spec {spec!r} has a count K beyond int64")
+        _check_bytes(32 * int(arg), points=spec)  # the (4, K) Gaussian draw
         rng = np.random.default_rng(seed)
         a, b = random_elements(rng, int(arg))
         return [GroupElement(complex(x), complex(y)) for x, y in zip(a, b)]
@@ -202,6 +221,8 @@ def _cmd_kernel_check(args):
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     if not 0 <= args.exclude < np.pi / 2:  # NaN fails this test too
         raise ValueError(f"--exclude must lie in [0, pi/2), got {args.exclude!r}")
+    # dirichlet_direct's (n_max + 1, grid) character table is the largest array
+    _check_bytes(8 * (args.n_max + 1) * args.grid, n_max=args.n_max, grid=args.grid)
     th = np.linspace(args.exclude, np.pi - args.exclude, args.grid)
     direct = dirichlet_direct(np.arange(args.n_max + 1), th)
     errs = np.empty(args.n_max + 1)
@@ -253,6 +274,8 @@ def _cmd_diverge(args):
         except ValueError as exc:
             raise ValueError(f"--n: {exc}, got {args.n}") from None
     points = parse_points(args.points, args.seed)
+    # the rule's phase planes, at most (order + 9) x 2 (order + 9) complex values
+    _check_bytes(32 * (max(args.order, 0) + 9) ** 2, order=args.order)
     rule = haar_grid(args.order)
     rows, failures = [], []
     for row in divergence_table(points, args.n, rule):
@@ -278,6 +301,8 @@ def _cmd_partial_sum(args):
     if len(args.n) != 1:
         raise ValueError(f"partial-sum takes a single --n value, got {args.n}")
     f = parse_central_fn(args.fn)
+    # the character table, up to n + 2 degrees (spherical) by grid angles
+    _check_bytes(8 * (args.n[0] + 2) * args.grid, n=args.n[0], grid=args.grid)
     th = np.linspace(0.0, np.pi, args.grid)
     vals = partial_sum_central(f, args.n[0], args.mode, th)
     fv = f(th)
@@ -293,9 +318,18 @@ def _cmd_partial_sum(args):
     return rows, []
 
 
+def _profile(f, t_min, args):
+    """modulus_profile(f, t_min, args.t_max, args.per_decade), its size checked first."""
+    if 0 < t_min <= args.t_max <= np.pi:  # modulus_profile refuses other radii itself
+        # the central (radius, n) table of translate terms is the largest array
+        count = np.ceil(args.per_decade * np.log10(args.t_max / t_min)) + 1
+        _check_bytes(8 * count * (DEFAULT_COEFF_LIMIT + 1), per_decade=args.per_decade)
+    return modulus_profile(f, t_min, args.t_max, args.per_decade)
+
+
 def _cmd_modulus(args):
     f = parse_central_fn(args.fn)
-    prof = modulus_profile(f, args.t_min, args.t_max, args.per_decade)
+    prof = _profile(f, args.t_min, args)
     rows = [
         {"t": float(t), "omega": float(o)}
         for t, o in zip(prof.t_values, prof.omega_values)
@@ -306,7 +340,7 @@ def _cmd_modulus(args):
 def _cmd_dini(args):
     f = parse_central_fn(args.fn)
     t_mins = sorted(args.t_min_list, reverse=True)
-    prof = modulus_profile(f, min(t_mins), args.t_max, args.per_decade)
+    prof = _profile(f, min(t_mins), args)
     rows = [
         {"t_min": float(tm), "integral": float(dini_integral(prof, tm))}
         for tm in t_mins
@@ -328,6 +362,8 @@ def _cmd_rm_sum(args):
 
 def _cmd_uniform_central(args):
     f = parse_central_fn(args.fn)
+    # the character table, up to max(n) + 1 degrees by grid angles
+    _check_bytes(8 * (max(args.n) + 1) * args.grid, n=max(args.n), grid=args.grid)
     rows = [
         {"N": N, "max_err": uniform_error_central(f, N, args.delta, args.grid)}
         for N in args.n
@@ -348,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, handler):
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="file path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=parse_seed, default=0)
         sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("kernel-check", help="direct vs closed Dirichlet kernel")

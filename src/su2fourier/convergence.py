@@ -29,9 +29,8 @@ one generator, and streams the beta slabs of the Haar rule through
 f(h^{-1} .) = ``left_translate(f, h^{-1})`` per sampled direction.
 Translates compose, so for f = L_z g with g central that is one class-angle
 pass of (z h^{-1}) y per direction, read from two real planes, with no group
-product and no element arrays on the grid.  The slabs may run on the
-threads of a thread pool made for one call; ``fourier._each_run`` says when,
-and why every modulus is bitwise the same for any CPU count.
+product and no element arrays on the grid.  The slabs run on the calling
+thread, in beta order, so every modulus is the same for any CPU count.
 Omega estimates are honest lower bounds: suprema are sampled, never
 extrapolated, and coefficient tails are dropped (each dropped term is >= 0).
 

@@ -31,8 +31,9 @@ any other the class angle arccos(x), formed only if such a profile reads
 that z.  A real
 slab enters the gamma transform as one real matrix product against the
 interleaved real and imaginary parts of the transform matrix.  The slabs of
-that two-plane path may run on the threads of a thread pool made for one
-call; ``_each_run`` says when, and why results do not depend on it.
+``matrix_coeffs`` on that two-plane path may run on the threads of a thread
+pool made for one call; ``_each_run`` says when, and why results do not
+depend on it.
 Translates compose (L_g L_z f = L_{z g} f), so a translate of a translate
 is evaluated as one.
 
@@ -129,8 +130,8 @@ class CentralFn:
     argument: on the Euler rule it reads a read-only class angle, or its
     cosine, that other functions of a batch may share (see
     ``_euler_slabs``).  It must be safe to call from several threads at
-    once, unless the function is band-limited: the beta slabs may evaluate
-    it concurrently (see ``_each_run``).
+    once, unless the function is band-limited: the beta slabs of
+    ``matrix_coeffs`` may evaluate it concurrently (see ``_each_run``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -541,8 +542,8 @@ _CPUS = _split_cpus(os.environ)  # read once at import, as BLAS reads its own
 def _each_run(work, count: int, split: bool) -> None:
     """Call work(run) on contiguous ranges ``run`` that cover range(count).
 
-    This is the one account of the beta-slab split of ``matrix_coeffs`` and
-    ``_translate_norms``.  ``split`` is true only when every function of
+    This is the one account of the beta-slab split, and ``matrix_coeffs``
+    its one caller.  ``split`` is true only when every function of
     ``_euler_slabs``'s batch is on its two-plane path (a CentralFn or a left
     translate of one) and no profile is band-limited.  A band-limited profile
     sums characters through package functions; it and any other callable,
@@ -561,7 +562,7 @@ def _each_run(work, count: int, split: bool) -> None:
     included).  Otherwise the calling thread does work(range(count)).
 
     ``work`` writes its own slots of a preallocated result, one per beta
-    slab, and the callers sum over beta after the join, on the calling
+    slab, and the caller sums over beta after the join, on the calling
     thread in beta order, so results are bitwise the same for any CPU count.
     One call starts at most one thread per CPU, whatever ``work`` loops
     over: each thread start may give the new thread a fresh malloc arena.
@@ -609,8 +610,8 @@ def _euler_slabs(fs, planes):
     slab's own (a, b) arrays from the Euler phases, scaled by cos(beta/2)
     and sin(beta/2).
 
-    ``split`` is the flag of ``_each_run``: true only if every function is
-    on the two-plane path and none is band-limited.
+    ``split`` is the flag ``matrix_coeffs`` hands ``_each_run``: true only if
+    every function is on the two-plane path and none is band-limited.
     """
     cb, sb, phase_sum, phase_dif = planes
     planes_of = {}  # each distinct translation z and its (P, Q)
@@ -818,34 +819,29 @@ def _store_runs(bounds) -> list:
     return _runs(sizes, 2 * max(sizes, default=0))
 
 
-def _translate_norms(f, hs, rule: QuadratureRule | None) -> list:
+def _translate_norms(f, hs, rule: QuadratureRule) -> list:
     """||delta_h f||_{L^2} over the Haar rule for each h in hs.
 
     f and each translate f(h^{-1} x) stream through the beta slabs of
     ``_euler_slabs`` on one set of the rule's ``planes()``, built once per
-    call; f itself is evaluated once per slab, and each squared norm is the
-    beta-weighted sum of the slabs' mean |f - f(h^{-1} .)|^2.  ``_each_run``
-    runs the slabs; each run holds f on its own slabs and visits every
-    direction, one evaluator of one function each, and each slab stores its
-    weighted term.  (Evaluating all directions per slab as one batch was
-    bitwise the same but slower.)
+    call.  One pass stores f on every slab; each direction then gets one
+    evaluator of its translate, and each slab stores its beta-weighted term
+    of mean |f - f(h^{-1} .)|^2, summed in beta order.  The slabs run on the
+    calling thread: at the grids this runs on, a slab is too cheap for the
+    split of ``matrix_coeffs`` to pay.  (Evaluating all directions per slab
+    as one batch was bitwise the same but slower.)
     """
     if not isinstance(rule, QuadratureRule):
         raise ValueError("general functions need a haar rule")
     planes = rule.planes()
-    slab, split = _euler_slabs([f], planes)
-    translates = [left_translate(f, h.inverse()) for h in hs]
+    slab, _ = _euler_slabs([f], planes)
+    base = [fb for ib in range(len(rule.beta)) for fb in slab(ib)]
     terms = np.empty((len(hs), len(rule.beta)))  # [direction, beta]
-
-    def fill(run):
-        base = [fb for ib in run for fb in slab(ib)]
-        for row, fh in zip(terms, translates):
-            moved, _ = _euler_slabs([fh], planes)
-            for ib, fb in zip(run, base):
-                [fm] = moved(ib)
-                row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - fm) ** 2)
-
-    _each_run(fill, len(rule.beta), split)
+    for row, h in zip(terms, hs):
+        moved, _ = _euler_slabs([left_translate(f, h.inverse())], planes)
+        for ib, fb in enumerate(base):
+            [fm] = moved(ib)
+            row[ib] = rule.w_beta[ib] * np.sum(np.abs(fb - fm) ** 2)
     per_slab = len(rule.alpha) * len(rule.gamma)
     return np.sqrt(np.cumsum(terms, axis=1)[:, -1] / per_slab).tolist()
 

@@ -307,8 +307,12 @@ def _address_space_capped(limit=2**40):
         ["lebesgue", "--n", "1000000000000"],
         ["chain", "--n", "1000000000000"],
         ["kernel-check", "--n-max", "1000000000000", "--grid", "2"],
+        ["partial-sum", "--grid", "1000000000000"],
+        ["diverge", "--points", "random:1000000000000"],
+        ["modulus", "--per-decade", "1000000000000"],
     ],
-    ids=["lebesgue", "chain", "kernel-check"],
+    ids=["lebesgue", "chain", "kernel-check", "partial-sum-grid", "diverge-points",
+         "modulus-per-decade"],
 )
 def test_size_too_large_to_allocate_is_a_usage_error(argv, capsys):
     # 10^12 entries are 7.3 TiB: NumPy's request fails at once and allocates nothing
@@ -355,6 +359,46 @@ def test_size_beyond_int64_is_a_usage_error_naming_it(argv, capsys):
         assert err.splitlines()[-1] == (
             f"su2fourier {command}: error: argument {flag}: {value} is beyond int64"
         )
+
+
+_BEYOND_BYTES = "9000000000000000000"  # inside int64, but its arrays' bytes are not
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-check", "--n-max", _BEYOND_BYTES],
+        ["kernel-check", "--grid", _BEYOND_BYTES],
+        ["partial-sum", "--grid", _BEYOND_BYTES],
+        ["uniform-central", "--grid", _BEYOND_BYTES],
+        ["diverge", "--order", _BEYOND_BYTES],
+        ["diverge", "--points", "random:" + _BEYOND_BYTES],
+        ["modulus", "--per-decade", _BEYOND_BYTES],
+        ["dini", "--per-decade", _BEYOND_BYTES],
+    ],
+    ids=[
+        "kernel-check-n-max", "kernel-check-grid", "partial-sum-grid", "uniform-central-grid",
+        "diverge-order", "diverge-points", "modulus-per-decade", "dini-per-decade",
+    ],
+)
+def test_size_beyond_int64_bytes_is_a_usage_error_naming_it(argv, capsys):
+    # refused before any array is allocated, in words that name the flag and the value
+    command, flag, value = argv
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("su2fourier: ") and err.count("\n") == 1
+    assert f"{flag} {value} " in err and err.endswith("bytes, beyond int64\n")
+
+
+def test_negative_seed_is_a_usage_error_naming_it(capsys):
+    assert run(["diverge", "--seed", "-1", "--order", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "su2fourier diverge: error: argument --seed: seed must be >= 0, got -1"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """The beta-slab split of central integrands across CPUs.
 
-``fourier._each_run`` runs the slabs of the two-plane path (a CentralFn or a
-left translate of one) in contiguous beta runs on short-lived threads, one per
-CPU of ``fourier._CPUS``: every usable CPU when BLAS runs on one thread, else
-one.  Band-limited functions and general callables stay on the calling
-thread.  Results must be bitwise those of the serial loop for every CPU count.
+``fourier._each_run`` runs the slabs of ``matrix_coeffs`` on the two-plane
+path (a CentralFn or a left translate of one) in contiguous beta runs on
+short-lived threads, one per CPU of ``fourier._CPUS``: every usable CPU when
+BLAS runs on one thread, else one.  Band-limited functions and general
+callables stay on the calling thread, and so do the translate norms behind
+``integral_modulus`` and ``modulus_profile``, for every function.  Results
+must be bitwise those of the serial loop for every CPU count.
 """
 
 import os
@@ -302,7 +304,7 @@ def test_each_run_covers_the_range_in_contiguous_runs(monkeypatch, cpus, count, 
     assert len(runs) == (max(1, min(cpus, count)) if split else 1)
 
 
-def test_one_thread_start_per_modulus_call(monkeypatch):
+def test_modulus_call_starts_no_thread(monkeypatch):
     monkeypatch.setattr(fourier, "_CPUS", 2)
     starts = []
 
@@ -313,7 +315,7 @@ def test_one_thread_start_per_modulus_call(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", CountingThread)
     integral_modulus(left_translate(sawtooth(5), Z), 0.3, sample_count=4, rule=RULE)
-    assert len(starts) == 1
+    assert len(starts) == 0
 
 
 def test_one_thread_start_and_one_planes_call_per_divergence_point(monkeypatch):
@@ -543,6 +545,12 @@ def test_only_a_split_call_loads_the_executor():
         "fourier._CPUS = 2\n"
         "fourier.matrix_coeffs(lambda a, b: np.real(a * b), 2, rule)\n"  # never splits
         "print('concurrent.futures' in sys.modules)\n"
+        "from su2fourier.convergence import integral_modulus, modulus_profile\n"
+        "z = group.GroupElement(0.6 + 0.1j, 0.3 - 0.734846922834953j)\n"
+        "f = fourier.left_translate(sawtooth(5), z)\n"
+        "integral_modulus(f, 0.3, sample_count=2, rule=rule)\n"
+        "modulus_profile(f, 0.1, 0.3, per_decade=2, sample_count=2, rule=rule)\n"
+        "print('concurrent.futures' in sys.modules)\n"  # the translate norms never split
         "before = threading.active_count()\n"
         "fourier.matrix_coeffs(sawtooth(5), 2, rule)\n"  # splits across two runs
         "print('concurrent.futures' in sys.modules, threading.active_count() == before)\n"
@@ -550,4 +558,4 @@ def test_only_a_split_call_loads_the_executor():
     out = subprocess.run(
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
     ).stdout.split()
-    assert out == ["False", "True", "True"]
+    assert out == ["False", "False", "True", "True"]
